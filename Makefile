@@ -118,12 +118,13 @@ bench-lda:
 resume-smoke:
 	$(GO) test -count=1 -run='^TestResumeSmoke$$' .
 
-# Coverage floor for the fault/retry layer: the rest of the repo is covered
-# by end-to-end pipeline tests, but these two packages are the safety net
-# everything else leans on, so their own tests must exercise them directly.
+# Coverage floor for the fault/retry layer and the in-process HTTP
+# transport: the rest of the repo is covered by end-to-end pipeline tests,
+# but these packages are the safety net everything else leans on, so their
+# own tests must exercise them directly.
 cover:
-	$(GO) test -count=1 -coverprofile=cover.out ./internal/retry ./internal/faults
+	$(GO) test -count=1 -coverprofile=cover.out ./internal/retry ./internal/faults ./internal/httpx
 	@$(GO) tool cover -func=cover.out | tail -1
-	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); if ($$3+0 < 70) { printf "coverage %.1f%% below the 70%% floor for internal/retry + internal/faults\n", $$3; exit 1 } }'
+	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); if ($$3+0 < 70) { printf "coverage %.1f%% below the 70%% floor for internal/retry + internal/faults + internal/httpx\n", $$3; exit 1 } }'
 
 ci: vet build race cover fuzz-smoke resume-smoke bench-smoke bench-scale bench-lda bench bench-compare

@@ -7,12 +7,12 @@ package core
 
 import (
 	"context"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"msgscope/internal/collect"
+	"msgscope/internal/httpx"
 	"msgscope/internal/monitor"
 	"msgscope/internal/platform/discord"
 	"msgscope/internal/platform/telegram"
@@ -36,7 +36,7 @@ var benchModes = []struct {
 	{"parallel", 0, 0},
 }
 
-// BenchmarkStudyRun measures a full study — world generation, loopback
+// BenchmarkStudyRun measures a full study — world generation, in-process
 // services, hourly searches, stream drains, daily sweeps, join phase, and
 // message collection — at 2% of paper volume over a shortened window. The
 // checkpoint mode reruns the parallel configuration with a checkpoint
@@ -166,9 +166,9 @@ func newSearchFixture(b *testing.B, workers int) *searchFixture {
 	w := sharedBenchWorld()
 	clock := simclock.New(w.Cfg.Start)
 	svc := twitter.NewService(w, clock, twitter.DefaultServiceConfig())
-	srv := httptest.NewServer(svc.Handler())
-	b.Cleanup(srv.Close)
-	col := collect.New(store.New(), twitter.NewClient(srv.URL))
+	url, stop := httpx.Serve(svc.Handler())
+	b.Cleanup(stop)
+	col := collect.New(store.New(), twitter.NewClient(url))
 	col.SearchWorkers = workers
 	return &searchFixture{clock: clock, svc: svc, col: col}
 }
@@ -206,13 +206,13 @@ func BenchmarkHourlySearch(b *testing.B) {
 
 // sweepFixture holds a store populated by two days of discovery plus a
 // monitor wired to all three platform services, shared by every
-// BenchmarkDailySweep mode (observations simply keep accumulating).
+// BenchmarkDailySweep mode (observations simply keep accumulating). The
+// services stay served for the life of the test binary.
 var (
 	sweepOnce    sync.Once
 	sweepErr     error
 	sweepMonitor *monitor.Monitor
 	sweepClock   *simclock.Sim
-	sweepServers []*httptest.Server
 )
 
 func sweepFixture(b *testing.B) (*monitor.Monitor, *simclock.Sim) {
@@ -221,14 +221,13 @@ func sweepFixture(b *testing.B) (*monitor.Monitor, *simclock.Sim) {
 		w := sharedBenchWorld()
 		clock := simclock.New(w.Cfg.Start)
 		twSvc := twitter.NewService(w, clock, twitter.DefaultServiceConfig())
-		twSrv := httptest.NewServer(twSvc.Handler())
-		waSrv := httptest.NewServer(whatsapp.NewService(w, clock).Handler())
-		tgSrv := httptest.NewServer(telegram.NewService(w, clock, telegram.DefaultServiceConfig()).Handler())
-		dcSrv := httptest.NewServer(discord.NewService(w, clock, discord.DefaultServiceConfig()).Handler())
-		sweepServers = []*httptest.Server{twSrv, waSrv, tgSrv, dcSrv}
+		twURL, _ := httpx.Serve(twSvc.Handler())
+		waURL, _ := httpx.Serve(whatsapp.NewService(w, clock).Handler())
+		tgURL, _ := httpx.Serve(telegram.NewService(w, clock, telegram.DefaultServiceConfig()).Handler())
+		dcURL, _ := httpx.Serve(discord.NewService(w, clock, discord.DefaultServiceConfig()).Handler())
 
 		st := store.New()
-		col := collect.New(st, twitter.NewClient(twSrv.URL))
+		col := collect.New(st, twitter.NewClient(twURL))
 		ctx := context.Background()
 		for hour := 0; hour < 48; hour++ {
 			clock.Advance(time.Hour)
@@ -238,9 +237,9 @@ func sweepFixture(b *testing.B) (*monitor.Monitor, *simclock.Sim) {
 			}
 		}
 		sweepMonitor = monitor.New(st,
-			whatsapp.NewClient(waSrv.URL, "monitor"),
-			telegram.NewClient(tgSrv.URL, "monitor"),
-			discord.NewClient(dcSrv.URL, "monitor"))
+			whatsapp.NewClient(waURL, "monitor"),
+			telegram.NewClient(tgURL, "monitor"),
+			discord.NewClient(dcURL, "monitor"))
 		sweepClock = clock
 	})
 	if sweepErr != nil {
@@ -251,8 +250,7 @@ func sweepFixture(b *testing.B) (*monitor.Monitor, *simclock.Sim) {
 
 // BenchmarkDailySweep measures one metadata sweep over every discovered
 // group URL, at the sweep's default 16 probe workers versus a single
-// worker. The shared tuned transport is what keeps the 16-worker mode from
-// spending its time re-dialing the loopback services.
+// worker, over the same in-process transport the study uses.
 func BenchmarkDailySweep(b *testing.B) {
 	for _, mode := range []struct {
 		name    string

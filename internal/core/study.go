@@ -1,6 +1,6 @@
 // Package core orchestrates the full 38-day methodology end-to-end over
-// real HTTP: it stands up the simulated Twitter and messaging-platform
-// services on loopback listeners, drives the virtual clock hour by hour,
+// HTTP: it serves the simulated Twitter and messaging-platform services
+// in process (httpx.Serve), drives the virtual clock hour by hour,
 // runs hourly searches and continuous streams (Section 3.1), the daily
 // metadata sweeps (Section 3.2), the join phase with message collection
 // (Section 3.3), and hands the resulting dataset to the report package.
@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http/httptest"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -21,6 +21,7 @@ import (
 	"msgscope/internal/analysis/lda"
 	"msgscope/internal/collect"
 	"msgscope/internal/faults"
+	"msgscope/internal/httpx"
 	"msgscope/internal/join"
 	"msgscope/internal/monitor"
 	"msgscope/internal/platform/discord"
@@ -195,7 +196,7 @@ type Study struct {
 
 	TwitterSvc *twitter.Service
 
-	servers   []*httptest.Server
+	stops     []func() // one per served service, from httpx.Serve
 	collector *collect.Collector
 	monitor   *monitor.Monitor
 	joiner    *join.Joiner
@@ -229,7 +230,7 @@ type Study struct {
 	agg      report.AggCache
 }
 
-// NewStudy builds the world, starts the services on loopback HTTP, and
+// NewStudy builds the world, serves the services in process, and
 // wires the pipeline. Call Run, then Dataset; Close when done.
 func NewStudy(cfg Config) (*Study, error) {
 	cfg = cfg.withDefaults()
@@ -286,25 +287,22 @@ func NewStudy(cfg Config) (*Study, error) {
 			"discord":  retry.NewBreaker(5, 30*time.Second),
 		},
 	}
-	twSrv := httptest.NewServer(twSvc.Handler())
-	waSrv := httptest.NewServer(waSvc.Handler())
-	tgSrv := httptest.NewServer(tgSvc.Handler())
-	dcSrv := httptest.NewServer(dcSvc.Handler())
-	s.servers = []*httptest.Server{twSrv, waSrv, tgSrv, dcSrv}
+	twURL := s.serve(twSvc.Handler())
+	waURL := s.serve(waSvc.Handler())
+	tgURL := s.serve(tgSvc.Handler())
+	dcURL := s.serve(dcSvc.Handler())
 
-	twClient := twitter.NewClient(twSrv.URL)
+	twClient := twitter.NewClient(twURL)
 	twClient.Retry.Breaker = s.breakers["twitter"]
 	s.collector = collect.New(st, twClient)
 	s.collector.SearchWorkers = cfg.SearchWorkers
 	if cfg.EnableSocialDiscovery {
-		socialSrv := httptest.NewServer(social.NewService(world, clock).Handler())
-		s.servers = append(s.servers, socialSrv)
-		s.collector.Social = social.NewClient(socialSrv.URL)
+		s.collector.Social = social.NewClient(s.serve(social.NewService(world, clock).Handler()))
 	}
 
-	waMonitorClient := whatsapp.NewClient(waSrv.URL, "monitor")
-	tgMonitorClient := telegram.NewClient(tgSrv.URL, "monitor")
-	dcMonitorClient := discord.NewClient(dcSrv.URL, "monitor")
+	waMonitorClient := whatsapp.NewClient(waURL, "monitor")
+	tgMonitorClient := telegram.NewClient(tgURL, "monitor")
+	dcMonitorClient := discord.NewClient(dcURL, "monitor")
 	// The monitor never advances the virtual clock, so a flood burst that
 	// spans "now" would never end for it: cap its rate-limit waits low and
 	// let the deferral path re-queue the group for the next sweep.
@@ -324,12 +322,12 @@ func NewStudy(cfg Config) (*Study, error) {
 	nAccounts := cfg.Join.WhatsApp/240 + 1
 	waClients := make([]*whatsapp.Client, nAccounts)
 	for i := range waClients {
-		waClients[i] = whatsapp.NewClient(waSrv.URL, fmt.Sprintf("join-%d", i))
+		waClients[i] = whatsapp.NewClient(waURL, fmt.Sprintf("join-%d", i))
 		waClients[i].Retry.Breaker = s.breakers["whatsapp"]
 	}
-	tgJoinClient := telegram.NewClient(tgSrv.URL, "join-tg")
+	tgJoinClient := telegram.NewClient(tgURL, "join-tg")
 	tgJoinClient.Retry.Breaker = s.breakers["telegram"]
-	dcJoinClient := discord.NewClient(dcSrv.URL, "join-dc")
+	dcJoinClient := discord.NewClient(dcURL, "join-dc")
 	dcJoinClient.Retry.Breaker = s.breakers["discord"]
 	s.joiner = join.New(st, waClients, tgJoinClient, dcJoinClient, clock, cfg.Seed)
 	s.joiner.MaxMessagesPerGroup = cfg.MaxMessagesPerGroup
@@ -347,9 +345,17 @@ func (s *Study) Close() {
 	if s.collector != nil {
 		s.collector.Close()
 	}
-	for _, srv := range s.servers {
-		srv.Close()
+	for _, stop := range s.stops {
+		stop()
 	}
+	s.stops = nil
+}
+
+// serve registers h in process and returns its base URL; Close stops it.
+func (s *Study) serve(h http.Handler) string {
+	url, stop := httpx.Serve(h)
+	s.stops = append(s.stops, stop)
+	return url
 }
 
 // Run executes the whole study: discovery, daily monitoring, joining, and

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"msgscope/internal/analysis/stats"
+	"msgscope/internal/httpx"
 	"msgscope/internal/platform"
 	"msgscope/internal/report"
 	"msgscope/internal/simworld"
@@ -269,5 +272,34 @@ func TestStudyCannotRunTwice(t *testing.T) {
 	s := runSmallStudy(t)
 	if err := s.Run(context.Background()); err == nil {
 		t.Fatal("second Run succeeded")
+	}
+}
+
+// TestCloseLeavesNoGoroutines: Close stops every in-process service —
+// the stream handlers included — and waits for in-flight handlers, so a
+// finished study leaves nothing running and its hosts refuse requests.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := NewStudy(Config{Seed: 5, Scale: 0.004, Days: 3, EnableSocialDiscovery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background()); err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	url := s.collector.Social.BaseURL
+	s.Close()
+	if _, err := httpx.NewClient().Get(url + "/"); !errors.Is(err, httpx.ErrStopped) {
+		t.Fatalf("request to a closed study's service: %v, want httpx.ErrStopped", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before NewStudy:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

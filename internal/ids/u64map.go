@@ -155,35 +155,3 @@ func (m *U64Map) grow() {
 func (m *U64Map) HeapBytes() int64 {
 	return int64(cap(m.keys))*8 + int64(cap(m.vals))*4
 }
-
-// Compact rebuilds the table keeping only the entries whose key satisfies
-// keep, into backing slices sized for the survivors. The table never
-// supports deletion in place (robin-hood without tombstones); a caller
-// that retires a key range wholesale — e.g. a dedup window sliding past a
-// horizon — rebuilds instead, paying one pass for a table sized to what
-// remains. Compact allocates only the two new backing slices.
-func (m *U64Map) Compact(keep func(key uint64) bool) {
-	survivors := 0
-	for _, k := range m.keys {
-		if k != 0 && keep(k) {
-			survivors++
-		}
-	}
-	slots := u64MapMinSlots
-	for slots*9 < survivors*10 {
-		slots *= 2
-	}
-	oldKeys, oldVals := m.keys, m.vals
-	m.keys = make([]uint64, slots)
-	m.vals = make([]uint32, slots)
-	m.n = 0
-	for i, k := range oldKeys {
-		if k != 0 && keep(k) {
-			m.insert(k, oldVals[i])
-		}
-	}
-	if m.hasZero && !keep(0) {
-		m.hasZero = false
-		m.zeroVal = 0
-	}
-}

@@ -72,10 +72,11 @@ func (m *Monitor) DailySweep(ctx context.Context, now time.Time) error {
 	var jobs []job
 	m.mu.Lock()
 	for i := 0; i < groups.Len(); i++ {
-		g := groups.At(i)
-		key := g.Platform.String() + "/" + g.Code
-		if !m.dead[key] {
-			jobs = append(jobs, job{g.Platform, g.Code})
+		// Key, not At: the sweep may overlap ingest, which rewrites the
+		// other columns of a row.
+		p, code := groups.Key(i)
+		if !m.dead[p.String()+"/"+code] {
+			jobs = append(jobs, job{p, code})
 		}
 	}
 	m.mu.Unlock()
@@ -85,7 +86,7 @@ func (m *Monitor) DailySweep(ctx context.Context, now time.Time) error {
 		workers = 1
 	}
 	// Workers take contiguous per-platform batches, not single groups: a
-	// probe against the loopback services is cheap enough that an
+	// probe against the in-process services is cheap enough that an
 	// unbuffered per-group handoff (channel rendezvous plus scheduler
 	// wakeup per probe) used to make the parallel sweep slower than the
 	// serial one. Batches amortize that handoff and keep each worker on

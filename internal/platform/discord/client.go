@@ -26,6 +26,9 @@ var (
 	ErrBotForbidden  = errors.New("discord: bots cannot join")  // bot join restriction
 	ErrMissingAccess = errors.New("discord: missing access")    // not a member
 	ErrRateLimited   = errors.New("discord: rate limited")
+	// ErrCursorStalled: a history page did not move the `before` cursor
+	// back, so paging on would fetch the same page forever.
+	ErrCursorStalled = errors.New("discord: history cursor did not advance")
 )
 
 // Invite is the metadata of one invite, fetchable without joining.
@@ -278,8 +281,13 @@ func (p *MessagePager) Next(ctx context.Context) ([]Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range out {
-		p.before = m.ID
+	if len(out) > 0 {
+		last := out[len(out)-1].ID
+		if p.before != 0 && last >= p.before {
+			p.done = true
+			return nil, fmt.Errorf("%w: channel %d, before=%d", ErrCursorStalled, p.chID, p.before)
+		}
+		p.before = last
 	}
 	if count < 100 {
 		p.done = true

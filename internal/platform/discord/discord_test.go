@@ -3,11 +3,14 @@ package discord
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"msgscope/internal/ids"
 	"msgscope/internal/platform"
+	"msgscope/internal/retry"
 	"msgscope/internal/simclock"
 	"msgscope/internal/simworld"
 )
@@ -265,5 +268,98 @@ func TestMessagePagerPagination(t *testing.T) {
 	}
 	if pages < 2 {
 		t.Fatalf("expected multi-page history, got %d pages", pages)
+	}
+}
+
+// TestPreEpochGuildHistoryFinishes pages the full history of a guild
+// created before the snowflake epoch (seed 42 at 0.4% scale has one, from
+// 2014). Its pre-epoch messages all clamp to snowflake ms 0, so a `before`
+// cursor pointing at them used to fetch the same page forever. History
+// now stops at the epoch and every page moves the cursor back.
+func TestPreEpochGuildHistoryFinishes(t *testing.T) {
+	w := simworld.New(simworld.DefaultConfig(42, 0.004))
+	clock := simclock.New(w.Cfg.Start)
+	clock.Advance(10 * 24 * time.Hour)
+	srv := httptest.NewServer(NewService(w, clock, DefaultServiceConfig()).Handler())
+	defer srv.Close()
+	var g *simworld.Group
+	for _, cand := range w.Groups[platform.Discord] {
+		if cand.CreatedAt.Before(discordEpoch) && w.AliveAt(cand, clock.Now()) {
+			g = cand
+			break
+		}
+	}
+	if g == nil {
+		t.Fatal("seed 42 world has no live pre-epoch Discord guild")
+	}
+	if len(w.Messages(g, g.CreatedAt, discordEpoch)) < 100 {
+		t.Fatal("pre-epoch guild has under a page of pre-epoch history")
+	}
+	c := NewClient(srv.URL, "acct")
+	c.Retry.Waiter = retry.AdvanceWaiter{Clock: clock} // wait out rate limits
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	inv, err := c.Join(ctx, g.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chs, err := c.Channels(ctx, inv.GuildID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Anchor every pager at one horizon, as the join phase does, so the
+	// rate-limit waits that advance the clock do not move the window.
+	horizon := clock.Now()
+	total := 0
+	for _, ch := range chs {
+		pager := c.MessagePagerBefore(ch.ID, ids.Snowflake(ids.DiscordEpochMS, horizon, 0))
+		var prev uint64
+		for !pager.Done() {
+			page, err := pager.Next(ctx)
+			if err != nil {
+				t.Fatalf("channel %d: %v", ch.ID, err)
+			}
+			for _, m := range page {
+				if m.SentAt.Before(discordEpoch) {
+					t.Fatalf("served pre-epoch message at %v", m.SentAt)
+				}
+				if prev != 0 && m.ID >= prev {
+					t.Fatalf("message IDs not strictly decreasing: %d after %d", m.ID, prev)
+				}
+				prev = m.ID
+			}
+			total += len(page)
+		}
+	}
+	if want := len(w.Messages(g, discordEpoch, horizon)); total < want-5 || total > want {
+		t.Fatalf("collected %d messages, world has %d since the epoch", total, want)
+	}
+}
+
+// TestMessagePagerStalledCursor serves the same full page for every
+// cursor: the pager must stop with ErrCursorStalled instead of looping.
+func TestMessagePagerStalledCursor(t *testing.T) {
+	page := []byte{'['}
+	for i := 0; i < 100; i++ {
+		if i > 0 {
+			page = append(page, ',')
+		}
+		page = appendMessageOut(page, uint64(1000-i), 7, "u", time.Unix(1600000000, 0).UTC(), "text", "")
+	}
+	page = append(page, ']')
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(page)
+	}))
+	defer srv.Close()
+	p := NewClient(srv.URL, "acct").MessagePager(1)
+	ctx := context.Background()
+	if got, err := p.Next(ctx); err != nil || len(got) != 100 {
+		t.Fatalf("first page: %d messages, err %v", len(got), err)
+	}
+	if _, err := p.Next(ctx); !errors.Is(err, ErrCursorStalled) {
+		t.Fatalf("second page err = %v, want ErrCursorStalled", err)
+	}
+	if !p.Done() {
+		t.Fatal("pager not done after a stalled cursor")
 	}
 }

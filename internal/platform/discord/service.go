@@ -347,6 +347,9 @@ func (s *Service) handleChannels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// discordEpoch is the snowflake epoch: the earliest time an ID encodes.
+var discordEpoch = time.UnixMilli(ids.DiscordEpochMS).UTC()
+
 // handleMessages pages a channel's history newest-first via the `before`
 // snowflake cursor, exactly like GET /channels/{id}/messages.
 func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
@@ -387,6 +390,15 @@ func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
 		until = ids.SnowflakeTime(ids.DiscordEpochMS, id)
 	}
 
+	// History stops at the guild's creation or the snowflake epoch,
+	// whichever is later: a message before the epoch has no snowflake of
+	// its own (ids.Snowflake clamps it to ms 0), so a `before` cursor
+	// could never page past it.
+	floor := g.CreatedAt
+	if floor.Before(discordEpoch) {
+		floor = discordEpoch
+	}
+
 	// Walk backwards day by day until the page fills, append-encoding
 	// each message straight into a pooled buffer. An empty page must
 	// render as null: the old code marshalled a nil []msgOut slice.
@@ -395,10 +407,10 @@ func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
 	buf = append(buf, '[')
 	n := 0
 	cursor := until
-	for n < limit && cursor.After(g.CreatedAt) {
+	for n < limit && cursor.After(floor) {
 		from := cursor.Add(-24 * time.Hour)
-		if from.Before(g.CreatedAt) {
-			from = g.CreatedAt
+		if from.Before(floor) {
+			from = floor
 		}
 		msgs := s.world.Messages(g, from, cursor)
 		for i := len(msgs) - 1; i >= 0 && n < limit; i-- {

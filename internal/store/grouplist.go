@@ -123,6 +123,18 @@ func (l GroupList) At(i int) GroupRecord {
 	return l.views[r>>stripeShift].at(uint32(r) & stripeMask)
 }
 
+// Key returns the i'th group's platform and code, reading only those two
+// columns. Unlike the rest of a row they are written once, when the row is
+// created, and never change, so Key is safe while the store is still
+// ingesting — At is not, since concurrent upserts rewrite a row's flags
+// and first/last-seen times.
+func (l GroupList) Key(i int) (platform.Platform, string) {
+	r := l.refs[i]
+	v := &l.views[r>>stripeShift]
+	row := uint32(r) & stripeMask
+	return platform.Platform(v.plat[row]), v.tab.Lookup(v.code[row])
+}
+
 // Obs returns the i'th group's observation series.
 func (l GroupList) Obs(i int) ObsList {
 	r := l.refs[i]
@@ -187,7 +199,7 @@ func (l ObsList) contiguous() bool {
 // At returns the i'th observation of the series.
 func (l ObsList) At(i int) Observation {
 	if l.contiguous() {
-		return l.v.obs.recordAt(l.head - 1 + uint32(i), l.v.tab)
+		return l.v.obs.recordAt(l.head-1+uint32(i), l.v.tab)
 	}
 	j := l.head
 	for ; i > 0; i-- {

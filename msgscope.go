@@ -1,8 +1,8 @@
 // Package msgscope reproduces the measurement study "Demystifying the
 // Messaging Platforms' Ecosystem Through the Lens of Twitter" (IMC 2020)
 // over a fully simulated ecosystem: a synthetic Twitter (Search + Streaming
-// APIs) and synthetic WhatsApp, Telegram, and Discord services run on
-// loopback HTTP, and the complete collection pipeline — URL-pattern
+// APIs) and synthetic WhatsApp, Telegram, and Discord services are served
+// over in-process HTTP, and the complete collection pipeline — URL-pattern
 // discovery, daily metadata monitoring, group joining, message collection,
 // topic modeling, and PII analysis — measures them exactly the way the
 // paper's tooling measured the real platforms.
