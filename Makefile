@@ -59,10 +59,11 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof -trace trace.out
 	@echo wrote cpu.pprof mem.pprof trace.out
 
-# One iteration of the end-to-end study benchmark: cheap proof in CI that
-# the pipeline still runs under the benchmark harness.
+# One iteration of the end-to-end study benchmark and of the message
+# collection layer benchmark: cheap proof in CI that the pipeline still
+# runs under the benchmark harness.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='StudyRun' -benchtime=1x ./internal/core
+	$(GO) test -run='^$$' -bench='StudyRun|CollectMessages' -benchtime=1x ./internal/core
 
 # Paper-scale ingest smoke: one iteration of the store benchmarks at 10x
 # scale (1M tweets, 2M messages, 500K users through the columnar store).

@@ -1,8 +1,11 @@
 package msgscope_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -40,6 +43,34 @@ func TestSerialAndParallelRunsRenderIdentically(t *testing.T) {
 		if s, p := serial.Render(id), parallel.Render(id); s != p {
 			t.Errorf("%s diverges between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", id, s, p)
 		}
+	}
+}
+
+// TestTextRunsAreDeterministic: with message bodies enabled, two runs at
+// the same seed save byte-identical messages. Each body is drawn from its
+// message's own (group, channel, day, index) stream, so it cannot depend
+// on the order in which concurrent history requests reach the generator.
+func TestTextRunsAreDeterministic(t *testing.T) {
+	opts := msgscope.Options{Seed: 7, Scale: 0.01, Days: 12, GenerateMessageText: true}
+	var saved [2][]byte
+	for i := range saved {
+		res, err := msgscope.Run(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := res.SaveDataset(dir); err != nil {
+			t.Fatal(err)
+		}
+		if saved[i], err = os.ReadFile(filepath.Join(dir, "messages.jsonl")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Contains(saved[0], []byte(`"text":`)) {
+		t.Fatal("the -text run saved no message bodies")
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatalf("messages.jsonl differs between identical -text runs (%d vs %d bytes)", len(saved[0]), len(saved[1]))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"msgscope/internal/collect"
 	"msgscope/internal/httpx"
+	"msgscope/internal/join"
 	"msgscope/internal/monitor"
 	"msgscope/internal/platform/discord"
 	"msgscope/internal/platform/telegram"
@@ -80,6 +81,45 @@ func BenchmarkStudyRun(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCollectMessages measures the join phase's message collection
+// layer alone: history paging against the in-process platform services
+// (world generation, encode, decode) plus buffering for ingest. The
+// fixture is a completed join-burst-shaped study (2% scale, 4 days, the
+// 208/50/50 join sample scaled to 84/20/20); every iteration re-collects
+// its joined groups into a fresh store, so set-up, discovery and the join
+// itself stay outside the timer. msgs/s counts messages read per second
+// of collection.
+func BenchmarkCollectMessages(b *testing.B) {
+	s, err := NewStudy(Config{
+		Seed:  42,
+		Scale: 0.02,
+		Days:  4,
+		Join:  join.Targets{WhatsApp: 84, Telegram: 20, Discord: 20},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	if err := s.Run(ctx); err != nil {
+		b.Fatal(err)
+	}
+	var read int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.joiner.Store = store.New()
+		before := s.joiner.Stats().MessagesRead
+		b.StartTimer()
+		if err := s.joiner.CollectMessages(ctx); err != nil {
+			b.Fatal(err)
+		}
+		read += s.joiner.Stats().MessagesRead - before
+	}
+	b.ReportMetric(float64(read)/b.Elapsed().Seconds(), "msgs/s")
 }
 
 // benchStudy is a completed 2%-scale study shared by the analysis-phase

@@ -27,9 +27,10 @@ func defaultCollectWorkers() int {
 }
 
 // gathered is one group's collection output, buffered locally by a worker
-// and ingested afterwards in deterministic group order.
+// and ingested afterwards in deterministic group order. Messages keep the
+// exact-size pages they arrived in, so a long history is never regrown.
 type gathered struct {
-	msgs  []store.MessageRecord
+	pages [][]store.MessageRecord
 	users []store.UserRecord
 }
 
@@ -158,7 +159,9 @@ func (j *Joiner) CollectMessages(ctx context.Context) error {
 	}
 
 	for i := range results {
-		j.Store.AddMessageBatch(results[i].msgs)
+		for _, page := range results[i].pages {
+			j.Store.AddMessageBatch(page)
+		}
 		j.Store.UpsertUserBatch(results[i].users)
 	}
 	return nil
@@ -184,35 +187,47 @@ func (j *Joiner) fetchWhatsApp(ctx context.Context, g store.GroupRecord, account
 		msgs = msgs[:j.MaxMessagesPerGroup]
 	}
 	var out gathered
+	page := make([]store.MessageRecord, 0, len(msgs))
+	// Each author is recorded once, in first-seen order: repeated upserts
+	// of the same record merge to nothing.
+	authors := map[uint64]struct{}{}
 	for _, m := range msgs {
-		out.msgs = append(out.msgs, store.MessageRecord{
+		key := store.PhoneKey(m.AuthorPhone)
+		page = append(page, store.MessageRecord{
 			Platform:  platform.WhatsApp,
 			GroupCode: g.Code,
-			AuthorKey: store.PhoneKey(m.AuthorPhone),
+			AuthorKey: key,
 			SentAt:    m.SentAt,
 			Type:      parseType(m.Type),
 			Text:      m.Text,
 		})
-		out.users = append(out.users, store.UserRecord{
-			Platform:  platform.WhatsApp,
-			Key:       store.PhoneKey(m.AuthorPhone),
-			PhoneHash: store.HashPhone(m.AuthorPhone),
-		})
+		if _, seen := authors[key]; !seen {
+			authors[key] = struct{}{}
+			out.users = append(out.users, store.UserRecord{
+				Platform:  platform.WhatsApp,
+				Key:       key,
+				PhoneHash: store.HashPhone(m.AuthorPhone),
+			})
+		}
 	}
-	j.stats.messagesRead.Add(int64(len(out.msgs)))
+	out.pages = [][]store.MessageRecord{page}
+	j.stats.messagesRead.Add(int64(len(page)))
 	return out, nil
 }
 
 func (j *Joiner) fetchTelegram(ctx context.Context, g store.GroupRecord, horizon time.Time) (gathered, error) {
 	pager := j.TG.HistoryPagerAt(g.Code, horizon)
 	var out gathered
+	authors := map[uint64]struct{}{} // as in fetchWhatsApp
+	count := 0
 	for !pager.Done() {
 		page, err := pager.Next(ctx)
 		if err != nil {
 			return gathered{}, err
 		}
+		recs := make([]store.MessageRecord, 0, len(page))
 		for _, m := range page {
-			out.msgs = append(out.msgs, store.MessageRecord{
+			recs = append(recs, store.MessageRecord{
 				Platform:  platform.Telegram,
 				GroupCode: g.Code,
 				AuthorKey: m.FromID,
@@ -220,13 +235,18 @@ func (j *Joiner) fetchTelegram(ctx context.Context, g store.GroupRecord, horizon
 				Type:      parseType(m.Type),
 				Text:      m.Text,
 			})
-			out.users = append(out.users, store.UserRecord{Platform: platform.Telegram, Key: m.FromID})
+			if _, seen := authors[m.FromID]; !seen {
+				authors[m.FromID] = struct{}{}
+				out.users = append(out.users, store.UserRecord{Platform: platform.Telegram, Key: m.FromID})
+			}
 		}
-		if j.MaxMessagesPerGroup > 0 && len(out.msgs) >= j.MaxMessagesPerGroup {
+		out.pages = append(out.pages, recs)
+		count += len(recs)
+		if j.MaxMessagesPerGroup > 0 && count >= j.MaxMessagesPerGroup {
 			break
 		}
 	}
-	j.stats.messagesRead.Add(int64(len(out.msgs)))
+	j.stats.messagesRead.Add(int64(count))
 	return out, nil
 }
 
@@ -242,8 +262,9 @@ func (j *Joiner) fetchDiscord(ctx context.Context, g store.GroupRecord, chs []di
 			if err != nil {
 				return gathered{}, err
 			}
+			recs := make([]store.MessageRecord, 0, len(page))
 			for _, m := range page {
-				out.msgs = append(out.msgs, store.MessageRecord{
+				recs = append(recs, store.MessageRecord{
 					Platform:  platform.Discord,
 					GroupCode: g.Code,
 					AuthorKey: m.AuthorID,
@@ -252,8 +273,9 @@ func (j *Joiner) fetchDiscord(ctx context.Context, g store.GroupRecord, chs []di
 					Text:      m.Content,
 				})
 				authors[m.AuthorID] = struct{}{}
-				count++
 			}
+			out.pages = append(out.pages, recs)
+			count += len(recs)
 			if j.MaxMessagesPerGroup > 0 && count >= j.MaxMessagesPerGroup {
 				break
 			}
@@ -262,7 +284,7 @@ func (j *Joiner) fetchDiscord(ctx context.Context, g store.GroupRecord, chs []di
 			break
 		}
 	}
-	j.stats.messagesRead.Add(int64(len(out.msgs)))
+	j.stats.messagesRead.Add(int64(count))
 	// Profile fetches: users who posted at least one message (Section 6),
 	// in sorted-ID order so the request sequence is deterministic.
 	authorIDs := make([]uint64, 0, len(authors))

@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -212,5 +213,75 @@ func TestHiddenMemberListsCounted(t *testing.T) {
 	// With HiddenMembersP=0.76, 8 joins should nearly surely hit one.
 	if st.HiddenLists == 0 {
 		t.Skip("no hidden member lists among sampled groups (unlucky draw)")
+	}
+}
+
+// TestCollectedAuthorsRecordedOnce: WhatsApp and Telegram collection
+// records each message author once per group, in first-seen order, and
+// the store ends up exactly as if it had upserted one record per message
+// (repeated upserts of an identical record merge to nothing).
+func TestCollectedAuthorsRecordedOnce(t *testing.T) {
+	f := newFixture(t, telegram.DefaultServiceConfig())
+	ctx := context.Background()
+	if err := f.joiner.SelectAndJoin(ctx, Targets{WhatsApp: 3, Telegram: 3}); err != nil {
+		t.Fatal(err)
+	}
+	f.clock.Advance(5 * 24 * time.Hour)
+	horizon := f.clock.Now()
+	var batches []gathered
+	for _, g := range f.joiner.Joined(platform.WhatsApp) {
+		ci, err := f.joiner.waClientFor(ctx, g.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.joiner.fetchWhatsApp(ctx, g, ci, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, got)
+	}
+	for _, g := range f.joiner.Joined(platform.Telegram) {
+		got, err := f.joiner.fetchTelegram(ctx, g, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, got)
+	}
+	deduped, perMessage := store.New(), store.New()
+	repeats := 0
+	for _, b := range batches {
+		byKey := map[uint64]store.UserRecord{}
+		var firstSeen []uint64
+		var msgs []store.MessageRecord
+		for _, page := range b.pages {
+			msgs = append(msgs, page...)
+		}
+		for _, m := range msgs {
+			if _, ok := byKey[m.AuthorKey]; !ok {
+				byKey[m.AuthorKey] = store.UserRecord{}
+				firstSeen = append(firstSeen, m.AuthorKey)
+			}
+		}
+		if len(b.users) != len(firstSeen) {
+			t.Fatalf("%d user records for %d distinct authors", len(b.users), len(firstSeen))
+		}
+		for i, u := range b.users {
+			if u.Key != firstSeen[i] {
+				t.Fatalf("user %d is %d, want first-seen author %d", i, u.Key, firstSeen[i])
+			}
+			byKey[u.Key] = u
+		}
+		// The former behaviour: one record per message.
+		for _, m := range msgs {
+			perMessage.UpsertUser(byKey[m.AuthorKey])
+		}
+		deduped.UpsertUserBatch(b.users)
+		repeats += len(msgs) - len(b.users)
+	}
+	if repeats == 0 {
+		t.Fatal("no author posted twice; the fixture does not exercise deduplication")
+	}
+	if !reflect.DeepEqual(deduped.Users(), perMessage.Users()) {
+		t.Fatal("deduplicated author records change the store's users")
 	}
 }

@@ -1,10 +1,14 @@
 package discord
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -130,7 +134,7 @@ func TestJoinChannelsMessagesProfiles(t *testing.T) {
 			anyAuthor = m.AuthorID
 		}
 	}
-	want := len(f.world.Messages(g, g.CreatedAt, f.clock.Now()))
+	want := guildMessageCount(f.world, g, g.CreatedAt, f.clock.Now())
 	if total < want-5 || total > want {
 		t.Fatalf("collected %d messages across channels, world has %d", total, want)
 	}
@@ -207,13 +211,61 @@ func TestRateLimit429(t *testing.T) {
 	}
 }
 
+// guildMessageCount sums the world's messages of every channel of g in
+// [from, to).
+func guildMessageCount(w *simworld.World, g *simworld.Group, from, to time.Time) int {
+	n := 0
+	for ch := 0; ch < g.Channels; ch++ {
+		n += len(w.Messages(g, ch, from, to))
+	}
+	return n
+}
+
+// pagedHistory is the oracle of the `before`-cursor protocol: it pages
+// one channel's history, generated in a single call over the whole
+// window, exactly as the endpoint must serve it. Each page holds the 100
+// newest messages before the cursor, and the next cursor is the last
+// message's snowflake, which the service reads back at millisecond
+// resolution.
+func pagedHistory(w *simworld.World, g *simworld.Group, ch int, before uint64) [][]simworld.Message {
+	floor := g.CreatedAt
+	if floor.Before(discordEpoch) {
+		floor = discordEpoch
+	}
+	all := w.Messages(g, ch, floor, ids.SnowflakeTime(ids.DiscordEpochMS, before))
+	var pages [][]simworld.Message
+	for {
+		var page []simworld.Message
+		for i := len(all) - 1; i >= 0 && len(page) < 100; i-- {
+			page = append(page, all[i])
+		}
+		if len(page) > 0 {
+			pages = append(pages, page)
+		}
+		if len(page) < 100 {
+			return pages
+		}
+		last := page[len(page)-1]
+		until := ids.SnowflakeTime(ids.DiscordEpochMS, ids.Snowflake(ids.DiscordEpochMS, last.SentAt, last.Seq))
+		all = all[:len(all)-len(page)]
+		for len(all) > 0 && !all[len(all)-1].SentAt.Before(until) {
+			all = all[:len(all)-1]
+		}
+	}
+}
+
+// TestMessagePagerPagination pages the busiest channel of a multi-channel
+// guild to the end. The service steps day-aligned windows of that one
+// channel while page boundaries fall mid-day, so the pages must equal the
+// single-call oracle, message for message, page for page.
 func TestMessagePagerPagination(t *testing.T) {
 	f := newFixture(t, DefaultServiceConfig())
+	now := f.clock.Now()
 	g := f.pick(t, func(g *simworld.Group) bool {
-		if !f.alive(g) {
+		if !f.alive(g) || g.Channels < 2 {
 			return false
 		}
-		n := len(f.world.Messages(g, g.CreatedAt, f.clock.Now()))
+		n := guildMessageCount(f.world, g, g.CreatedAt, now)
 		return n > 300 && n < 20000
 	})
 	c := NewClient(f.srv.URL, "acct")
@@ -227,21 +279,18 @@ func TestMessagePagerPagination(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Page the busiest channel so the history spans multiple pages.
-	world := f.world.Messages(g, g.CreatedAt, f.clock.Now())
-	perChannel := map[int]int{}
-	for _, m := range world {
-		perChannel[m.Channel]++
-	}
 	busiest, most := 0, -1
-	for ch, n := range perChannel {
-		if n > most {
+	for ch := 0; ch < g.Channels; ch++ {
+		if n := len(f.world.Messages(g, ch, g.CreatedAt, now)); n > most {
 			busiest, most = ch, n
 		}
 	}
 	if most < 150 {
 		t.Skipf("busiest channel has only %d messages", most)
 	}
-	pager := c.MessagePager(chs[busiest].ID)
+	before := ids.Snowflake(ids.DiscordEpochMS, now, 0)
+	want := pagedHistory(f.world, g, busiest, before)
+	pager := c.MessagePagerBefore(chs[busiest].ID, before)
 	pages := 0
 	seen := map[uint64]bool{}
 	for !pager.Done() {
@@ -253,21 +302,100 @@ func TestMessagePagerPagination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages++
-		for i := 1; i < len(page); i++ {
-			if page[i].SentAt.After(page[i-1].SentAt) {
-				t.Fatal("page not newest-first")
-			}
+		if len(page) == 0 {
+			continue
 		}
-		for _, m := range page {
+		if pages >= len(want) {
+			t.Fatalf("served page %d, oracle has %d", pages+1, len(want))
+		}
+		if len(page) != len(want[pages]) {
+			t.Fatalf("page %d: %d messages, oracle %d", pages, len(page), len(want[pages]))
+		}
+		for i, m := range page {
+			wm := want[pages][i]
+			u := f.world.UserByIdx(platform.Discord, wm.AuthorIdx)
+			if m.ID != ids.Snowflake(ids.DiscordEpochMS, wm.SentAt, wm.Seq) || !m.SentAt.Equal(wm.SentAt) ||
+				m.AuthorID != u.ID || m.Author != u.Name || m.Type != wm.Type.String() || m.Content != wm.Text {
+				t.Fatalf("page %d message %d: got %+v, oracle %+v", pages, i, m, wm)
+			}
 			if seen[m.ID] {
 				t.Fatalf("message %d served twice across pages", m.ID)
 			}
 			seen[m.ID] = true
 		}
+		pages++
+	}
+	if pages != len(want) {
+		t.Fatalf("served %d pages, oracle has %d", pages, len(want))
 	}
 	if pages < 2 {
 		t.Fatalf("expected multi-page history, got %d pages", pages)
+	}
+}
+
+// TestMessagePageBytesAtMidDayCursors fetches raw history pages at
+// cursors that fall mid-day, in every channel of a multi-channel guild,
+// and holds each body byte-equal to the oracle page encoded the way the
+// endpoint encodes it.
+func TestMessagePageBytesAtMidDayCursors(t *testing.T) {
+	f := newFixture(t, ServiceConfig{Budget: 1 << 20, Window: time.Minute})
+	now := f.clock.Now()
+	g := f.pick(t, func(g *simworld.Group) bool {
+		return f.alive(g) && g.Channels >= 3 && guildMessageCount(f.world, g, g.CreatedAt, now) > 300
+	})
+	c := NewClient(f.srv.URL, "acct")
+	ctx := context.Background()
+	inv, err := c.Join(ctx, g.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chs, err := c.Channels(ctx, inv.GuildID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	fetched := 0
+	for ch := range chs {
+		for k := 0; k < 6; k++ {
+			// A random millisecond of the guild's life: never day-aligned
+			// in practice, and usually inside a day with messages on both
+			// sides of the cursor.
+			at := g.CreatedAt.Add(time.Duration(rng.Int64N(int64(now.Sub(g.CreatedAt)))))
+			before := ids.Snowflake(ids.DiscordEpochMS, at, 0)
+			var want []byte
+			if pages := pagedHistory(f.world, g, ch, before); len(pages) == 0 {
+				want = []byte("null\n")
+			} else {
+				want = append(want, '[')
+				for i, m := range pages[0] {
+					if i > 0 {
+						want = append(want, ',')
+					}
+					u := f.world.UserByIdx(platform.Discord, m.AuthorIdx)
+					want = appendMessageOut(want, ids.Snowflake(ids.DiscordEpochMS, m.SentAt, m.Seq), u.ID, u.Name, m.SentAt, m.Type.String(), m.Text)
+				}
+				want = append(want, ']', '\n')
+			}
+			url := f.srv.URL + "/api/v9/channels/" + strconv.FormatUint(chs[ch].ID, 10) + "/messages?limit=100&before=" + strconv.FormatUint(before, 10)
+			req, _ := http.NewRequest(http.MethodGet, url, nil)
+			req.Header.Set("X-DC-Account", "acct")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, err %v", resp.StatusCode, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("channel %d before %v:\n got %s\nwant %s", ch, at, got, want)
+			}
+			fetched++
+		}
+	}
+	if fetched == 0 {
+		t.Fatal("no pages fetched")
 	}
 }
 
@@ -292,7 +420,7 @@ func TestPreEpochGuildHistoryFinishes(t *testing.T) {
 	if g == nil {
 		t.Fatal("seed 42 world has no live pre-epoch Discord guild")
 	}
-	if len(w.Messages(g, g.CreatedAt, discordEpoch)) < 100 {
+	if guildMessageCount(w, g, g.CreatedAt, discordEpoch) < 100 {
 		t.Fatal("pre-epoch guild has under a page of pre-epoch history")
 	}
 	c := NewClient(srv.URL, "acct")
@@ -331,7 +459,7 @@ func TestPreEpochGuildHistoryFinishes(t *testing.T) {
 			total += len(page)
 		}
 	}
-	if want := len(w.Messages(g, discordEpoch, horizon)); total < want-5 || total > want {
+	if want := guildMessageCount(w, g, discordEpoch, horizon); total < want-5 || total > want {
 		t.Fatalf("collected %d messages, world has %d since the epoch", total, want)
 	}
 }

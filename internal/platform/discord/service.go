@@ -399,25 +399,23 @@ func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
 		floor = discordEpoch
 	}
 
-	// Walk backwards day by day until the page fills, append-encoding
-	// each message straight into a pooled buffer. An empty page must
-	// render as null: the old code marshalled a nil []msgOut slice.
+	// Walk this channel back one calendar day (one world stream) at a
+	// time until the page fills, append-encoding each message straight
+	// into a pooled buffer. An empty page must render as null: the old
+	// code marshalled a nil []msgOut slice.
 	bp := jsonx.GetBuf()
 	buf := (*bp)[:0]
 	buf = append(buf, '[')
 	n := 0
 	cursor := until
 	for n < limit && cursor.After(floor) {
-		from := cursor.Add(-24 * time.Hour)
+		from := cursor.Add(-1).Truncate(24 * time.Hour)
 		if from.Before(floor) {
 			from = floor
 		}
-		msgs := s.world.Messages(g, from, cursor)
+		msgs := s.world.Messages(g, ref.idx, from, cursor)
 		for i := len(msgs) - 1; i >= 0 && n < limit; i-- {
-			m := msgs[i]
-			if m.Channel != ref.idx {
-				continue
-			}
+			m := &msgs[i]
 			u := s.world.UserByIdx(platform.Discord, m.AuthorIdx)
 			s.mu.Lock()
 			s.userIdx[u.ID] = m.AuthorIdx

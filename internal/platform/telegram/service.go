@@ -282,14 +282,6 @@ func (s *Service) requireMember(w http.ResponseWriter, a *account, code string) 
 	return true
 }
 
-// messageJSON is one history message on the wire.
-type messageJSON struct {
-	FromID uint64 `json:"from_id"`
-	DateMS int64  `json:"date_ms"`
-	Type   string `json:"type"`
-	Text   string `json:"text,omitempty"`
-}
-
 // handleHistory pages backwards through a chat's full history (Telegram
 // exposes messages since the chat was created). Pagination mirrors
 // messages.getHistory: offset_date_ms walks toward older messages, limit
@@ -320,66 +312,63 @@ func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request) {
 			until = time.UnixMilli(ms).UTC()
 		}
 	}
-	// Generate backwards day by day until the page fills.
-	var page []simworld.Message
+	// Generate backwards one calendar day at a time (the world's stream
+	// granularity) until the page fills, newest first, append-encoding
+	// each message straight into a pooled buffer.
+	bp := jsonx.GetBuf()
+	buf := append((*bp)[:0], historyOpen...)
+	n := 0
+	var last time.Time
 	cursor := until
-	for len(page) < limit && cursor.After(g.CreatedAt) {
-		from := cursor.Add(-24 * time.Hour)
+	for n < limit && cursor.After(g.CreatedAt) {
+		from := cursor.Add(-1).Truncate(24 * time.Hour)
 		if from.Before(g.CreatedAt) {
 			from = g.CreatedAt
 		}
-		msgs := s.world.Messages(g, from, cursor)
-		// Newest first within the page.
-		for i := len(msgs) - 1; i >= 0; i-- {
-			page = append(page, msgs[i])
-			if len(page) == limit {
-				break
+		// Telegram chats are a single room: channel 0.
+		msgs := s.world.Messages(g, 0, from, cursor)
+		for i := len(msgs) - 1; i >= 0 && n < limit; i-- {
+			m := &msgs[i]
+			u := s.world.UserByIdx(platform.Telegram, m.AuthorIdx)
+			if n > 0 {
+				buf = append(buf, ',')
 			}
+			buf = appendHistoryMessage(buf, u.ID, m.SentAt.UnixMilli(), m.Type.String(), m.Text)
+			last = m.SentAt
+			n++
 		}
 		cursor = from
 	}
-	out := make([]messageJSON, len(page))
-	for i, m := range page {
-		u := s.world.UserByIdx(platform.Telegram, m.AuthorIdx)
-		out[i] = messageJSON{FromID: u.ID, DateMS: m.SentAt.UnixMilli(), Type: m.Type.String(), Text: m.Text}
-	}
-	var next int64
-	hasNext := false
-	if len(page) == limit && len(page) > 0 {
-		next = page[len(page)-1].SentAt.UnixMilli()
-		hasNext = true
-	}
-	bp := jsonx.GetBuf()
-	buf := appendHistoryResponse((*bp)[:0], out, next, hasNext)
+	buf = appendHistoryEnd(buf, last.UnixMilli(), n == limit)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf)
 	*bp = buf
 	jsonx.PutBuf(bp)
 }
 
-// appendHistoryResponse renders the history page byte-identically to
-// json.NewEncoder(w).Encode(map[string]any{"messages": out, ...}) —
-// encoding/json sorts map keys, so "messages" precedes
-// "next_offset_date_ms", and Encode appends a newline.
-func appendHistoryResponse(dst []byte, msgs []messageJSON, next int64, hasNext bool) []byte {
-	dst = append(dst, `{"messages":[`...)
-	for i := range msgs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		m := &msgs[i]
-		dst = append(dst, `{"from_id":`...)
-		dst = jsonx.AppendUint(dst, m.FromID)
-		dst = append(dst, `,"date_ms":`...)
-		dst = jsonx.AppendInt(dst, m.DateMS)
-		dst = append(dst, `,"type":`...)
-		dst = jsonx.AppendString(dst, m.Type)
-		if m.Text != "" {
-			dst = append(dst, `,"text":`...)
-			dst = jsonx.AppendString(dst, m.Text)
-		}
-		dst = append(dst, '}')
+// A history page renders byte-identically to
+// json.NewEncoder(w).Encode(map[string]any{"messages": msgs, ...}) of
+// {from_id, date_ms, type, text,omitempty} messages — encoding/json sorts
+// map keys, so "messages" precedes "next_offset_date_ms", and Encode
+// appends a newline. historyOpen starts the page, appendHistoryMessage
+// renders each message and appendHistoryEnd closes it.
+const historyOpen = `{"messages":[`
+
+func appendHistoryMessage(dst []byte, fromID uint64, dateMS int64, typ, text string) []byte {
+	dst = append(dst, `{"from_id":`...)
+	dst = jsonx.AppendUint(dst, fromID)
+	dst = append(dst, `,"date_ms":`...)
+	dst = jsonx.AppendInt(dst, dateMS)
+	dst = append(dst, `,"type":`...)
+	dst = jsonx.AppendString(dst, typ)
+	if text != "" {
+		dst = append(dst, `,"text":`...)
+		dst = jsonx.AppendString(dst, text)
 	}
+	return append(dst, '}')
+}
+
+func appendHistoryEnd(dst []byte, next int64, hasNext bool) []byte {
 	dst = append(dst, ']')
 	if hasNext {
 		dst = append(dst, `,"next_offset_date_ms":`...)

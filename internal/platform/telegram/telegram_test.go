@@ -1,9 +1,14 @@
 package telegram
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -113,7 +118,7 @@ func TestJoinAndHistorySinceCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.world.Messages(g, g.CreatedAt, f.clock.Now())
+	want := f.world.Messages(g, 0, g.CreatedAt, f.clock.Now())
 	// History pagination can drop same-millisecond boundary collisions;
 	// allow a sliver of slack.
 	if len(msgs) < len(want)-3 || len(msgs) > len(want) {
@@ -226,7 +231,7 @@ func TestHistoryPagerResumesAcrossFloodWait(t *testing.T) {
 		if !f.alive(g) {
 			return false
 		}
-		n := len(f.world.Messages(g, g.CreatedAt, f.clock.Now()))
+		n := len(f.world.Messages(g, 0, g.CreatedAt, f.clock.Now()))
 		return n > 1500 && n < 30000 // needs multiple pages
 	})
 	c := NewClient(f.srv.URL, "acct")
@@ -234,8 +239,13 @@ func TestHistoryPagerResumesAcrossFloodWait(t *testing.T) {
 	if _, err := c.Join(ctx, g.Code); err != nil {
 		t.Fatal(err)
 	}
-	pager := c.HistoryPager(g.Code)
-	var got int
+	// Anchor the pager so the flood waits that advance the clock do not
+	// move the window. The served pages must then equal the oracle's,
+	// message for message, across boundaries that fall mid-day.
+	horizon := f.clock.Now()
+	want := pagedHistory(f.world, g, horizon, 1000)
+	pager := c.HistoryPagerAt(g.Code, horizon)
+	pages := 0
 	for !pager.Done() {
 		page, err := pager.Next(ctx)
 		if errors.Is(err, ErrFloodWait) {
@@ -245,10 +255,108 @@ func TestHistoryPagerResumesAcrossFloodWait(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got += len(page)
+		if len(page) == 0 {
+			continue
+		}
+		if pages >= len(want) || len(page) != len(want[pages]) {
+			t.Fatalf("page %d: %d messages, oracle has %d pages", pages, len(page), len(want))
+		}
+		for i, m := range page {
+			wm := want[pages][i]
+			u := f.world.UserByIdx(platform.Telegram, wm.AuthorIdx)
+			if m.FromID != u.ID || !m.SentAt.Equal(wm.SentAt.Truncate(time.Millisecond)) || m.Type != wm.Type.String() || m.Text != wm.Text {
+				t.Fatalf("page %d message %d: got %+v, oracle %+v", pages, i, m, wm)
+			}
+		}
+		pages++
 	}
-	want := len(f.world.Messages(g, g.CreatedAt, f.clock.Now()))
-	if got < want-10 || got > want {
-		t.Fatalf("paged %d messages, world has %d", got, want)
+	if pages != len(want) || pages < 2 {
+		t.Fatalf("served %d pages, oracle has %d", pages, len(want))
+	}
+}
+
+// pagedHistory is the oracle of the offset_date_ms protocol: it pages a
+// chat's history, generated in a single call over the whole window,
+// exactly as the endpoint must serve it. Each page holds the limit newest
+// messages before the cursor, and the next cursor is the last message's
+// millisecond.
+func pagedHistory(w *simworld.World, g *simworld.Group, until time.Time, limit int) [][]simworld.Message {
+	all := w.Messages(g, 0, g.CreatedAt, until)
+	var pages [][]simworld.Message
+	for {
+		var page []simworld.Message
+		for i := len(all) - 1; i >= 0 && len(page) < limit; i-- {
+			page = append(page, all[i])
+		}
+		if len(page) > 0 {
+			pages = append(pages, page)
+		}
+		if len(page) < limit {
+			return pages
+		}
+		next := time.UnixMilli(page[len(page)-1].SentAt.UnixMilli())
+		all = all[:len(all)-len(page)]
+		for len(all) > 0 && !all[len(all)-1].SentAt.Before(next) {
+			all = all[:len(all)-1]
+		}
+	}
+}
+
+// TestHistoryPageBytesAtMidDayOffsets fetches raw history pages at
+// offsets that fall mid-day and holds each body byte-equal to the oracle
+// page encoded the way the endpoint encodes it.
+func TestHistoryPageBytesAtMidDayOffsets(t *testing.T) {
+	f := newFixture(t, ServiceConfig{APIBudget: 1 << 20, APIWindow: time.Minute, FloodWaitSeconds: 1})
+	now := f.clock.Now()
+	c := NewClient(f.srv.URL, "acct")
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(3, 5))
+	fetched := 0
+	for _, g := range f.world.Groups[platform.Telegram] {
+		if fetched >= 24 {
+			break
+		}
+		if !f.alive(g) || len(f.world.Messages(g, 0, g.CreatedAt, now)) < 200 {
+			continue
+		}
+		if _, err := c.Join(ctx, g.Code); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			at := g.CreatedAt.Add(time.Duration(rng.Int64N(int64(now.Sub(g.CreatedAt))))).Truncate(time.Millisecond)
+			var page []simworld.Message
+			if pages := pagedHistory(f.world, g, at, 100); len(pages) > 0 {
+				page = pages[0]
+			}
+			msgs := make([]messageJSON, len(page))
+			for i, m := range page {
+				u := f.world.UserByIdx(platform.Telegram, m.AuthorIdx)
+				msgs[i] = messageJSON{FromID: u.ID, DateMS: m.SentAt.UnixMilli(), Type: m.Type.String(), Text: m.Text}
+			}
+			var next int64
+			if len(page) == 100 {
+				next = page[99].SentAt.UnixMilli()
+			}
+			want := appendHistoryResponse(nil, msgs, next, len(page) == 100)
+			url := f.srv.URL + "/api/history/" + g.Code + "?limit=100&offset_date_ms=" + strconv.FormatInt(at.UnixMilli(), 10)
+			req, _ := http.NewRequest(http.MethodGet, url, nil)
+			req.Header.Set("X-TG-Account", "acct")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, err %v", resp.StatusCode, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s offset %v:\n got %s\nwant %s", g.Code, at, got, want)
+			}
+			fetched++
+		}
+	}
+	if fetched == 0 {
+		t.Fatal("no pages fetched")
 	}
 }

@@ -9,6 +9,28 @@ import (
 	"msgscope/internal/ids"
 )
 
+// messageJSON is the wire shape of one history message, as encoding/json
+// renders it: the reference the append encoders are held to.
+type messageJSON struct {
+	FromID uint64 `json:"from_id"`
+	DateMS int64  `json:"date_ms"`
+	Type   string `json:"type"`
+	Text   string `json:"text,omitempty"`
+}
+
+// appendHistoryResponse renders a whole history page through the
+// service's append encoders, exactly as handleHistory composes them.
+func appendHistoryResponse(dst []byte, msgs []messageJSON, next int64, hasNext bool) []byte {
+	dst = append(dst, historyOpen...)
+	for i, m := range msgs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendHistoryMessage(dst, m.FromID, m.DateMS, m.Type, m.Text)
+	}
+	return appendHistoryEnd(dst, next, hasNext)
+}
+
 // TestAppendHistoryResponseMatchesEncodingJSON holds the append encoder
 // byte-identical to the json.NewEncoder rendering of the former
 // map[string]any response shape.

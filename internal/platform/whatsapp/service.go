@@ -274,7 +274,8 @@ func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	msgs := s.world.Messages(g, from, now)
+	// WhatsApp groups are a single room: channel 0.
+	msgs := s.world.Messages(g, 0, from, now)
 	out := make([]messageJSON, len(msgs))
 	for i, m := range msgs {
 		u := s.world.UserByIdx(platform.WhatsApp, m.AuthorIdx)

@@ -170,8 +170,8 @@ func TestMessagesOnlyAfterJoin(t *testing.T) {
 	}
 	// The group had history before the join that must not be visible:
 	// the world holds messages from its creation, the API returns none.
-	pre := f.world.Messages(g, g.CreatedAt, joinedAt)
-	if len(pre) > 0 && len(msgs) >= len(pre)+len(f.world.Messages(g, joinedAt, f.clock.Now()))+1 {
+	pre := f.world.Messages(g, 0, g.CreatedAt, joinedAt)
+	if len(pre) > 0 && len(msgs) >= len(pre)+len(f.world.Messages(g, 0, joinedAt, f.clock.Now()))+1 {
 		t.Fatal("pre-join history leaked")
 	}
 }

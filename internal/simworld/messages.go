@@ -7,6 +7,7 @@ import (
 
 	"msgscope/internal/dist"
 	"msgscope/internal/platform"
+	"msgscope/internal/textgen"
 )
 
 // memberListCap bounds how many member identities a group materializes —
@@ -56,13 +57,8 @@ type msgModel struct {
 }
 
 func (w *World) msgModelFor(g *Group) *msgModel {
-	w.msgModelMu.Lock()
-	defer w.msgModelMu.Unlock()
-	if w.msgModels == nil {
-		w.msgModels = map[*Group]*msgModel{}
-	}
-	if m, ok := w.msgModels[g]; ok {
-		return m
+	if m, ok := w.msgModels.Load(g); ok {
+		return m.(*msgModel)
 	}
 	cfg := w.platformCfg(g.Platform)
 	members := w.MemberIdx(g, g.FirstShareAt)
@@ -70,99 +66,91 @@ func (w *World) msgModelFor(g *Group) *msgModel {
 	if nActive < 1 {
 		nActive = 1
 	}
-	m := &msgModel{
+	m, _ := w.msgModels.LoadOrStore(g, &msgModel{
 		active:      members[:nActive],
 		authorZipf:  dist.NewZipf(cfg.PosterZipfS, nActive),
 		typeSampler: dist.NewStringSampler(cfg.MessageTypes),
-	}
-	w.msgModels[g] = m
-	return m
+	})
+	return m.(*msgModel)
 }
 
-// Messages generates the group's messages in [from, to), deterministic in
-// the group. Message authors are drawn from the active subset of the member
-// pool with the platform's posting skew, so per-user volumes reproduce the
-// paper's concentration (top 1% of members post 31-63% of messages).
-func (w *World) Messages(g *Group, from, to time.Time) []Message {
+// msgTextTag separates the body streams from the message streams of the
+// same (channel, day): "text".
+const msgTextTag = 0x74657874
+
+// Messages generates channel ch of the group in [from, to), sorted by
+// (SentAt, Seq). Message authors are drawn from the active subset of the
+// member pool with the platform's posting skew, so per-user volumes
+// reproduce the paper's concentration (top 1% of members post 31-63% of
+// messages).
+//
+// Each (channel, calendar day) is an independently seeded stream, so a
+// message is a pure function of (group, channel, day, index) whatever
+// window the caller asks for: history pagers step day-aligned windows and
+// pay only for the days they serve. A message body, when enabled, comes
+// from its own (channel, day, index) stream too, so it does not depend on
+// which request generated it first.
+func (w *World) Messages(g *Group, ch int, from, to time.Time) []Message {
+	if from.Before(g.CreatedAt) {
+		from = g.CreatedAt
+	}
 	if !to.After(from) {
 		return nil
 	}
 	model := w.msgModelFor(g)
 	active, authorZipf, typeSampler := model.active, model.authorZipf, model.typeSampler
+	rate := g.MsgRates[ch]
 
-	// For determinism independent of the queried window, messages are
-	// generated day by day from the group's creation, with a per-day RNG.
-	genStart := g.CreatedAt
-	if genStart.Before(from) {
-		// Fast-forward: day streams are independent, so skip directly to
-		// the first requested day.
-		genStart = from
-	}
-	dayStart := genStart.Truncate(24 * time.Hour)
-	// Pre-size the output to the expected volume of the generated days so
-	// the append loop does not regrow: sum of per-channel rates times the
-	// day count, capped to keep a pathological window from over-reserving.
-	var rateSum float64
-	for _, r := range g.MsgRates {
-		rateSum += r
-	}
-	days := int(to.Sub(dayStart)/(24*time.Hour)) + 1
-	est := int(rateSum*float64(days)) + 16
-	out := make([]Message, 0, min(est, 1<<20))
-	// One PCG reused across all day x channel streams: Seed resets it to
-	// the exact state NewPCG would produce, so the draw sequences are
-	// identical to the per-stream construction this replaces.
-	var pcg rand.PCG
+	var out []Message
+	// Both PCGs are reused across streams: Seed resets one to the exact
+	// state NewPCG would produce.
+	var pcg, textPCG rand.PCG
 	dayRng := rand.New(&pcg)
-	for !dayStart.After(to) {
-		dayEnd := dayStart.Add(24 * time.Hour)
-		dayIdx := uint64(dayStart.Unix() / 86400)
-		for c := 0; c < g.Channels; c++ {
-			pcg.Seed(g.noiseSeed^uint64(c)<<32, dayIdx)
-			n := dist.Poisson(dayRng, g.MsgRates[c])
-			for i := 0; i < n; i++ {
-				// All draws happen unconditionally so the RNG stream stays
-				// aligned no matter how the requested window slices the
-				// day — history paging must see identical messages.
-				at := dayStart.Add(time.Duration(dayRng.Int64N(int64(24 * time.Hour))))
-				author := active[authorZipf.Sample(dayRng)-1]
-				typ := parseMsgType(typeSampler.Sample(dayRng))
-				if at.Before(from) || !at.Before(to) || at.Before(g.CreatedAt) {
-					continue
-				}
-				m := Message{
-					GroupCode: g.Code,
-					Channel:   c,
-					AuthorIdx: author,
-					SentAt:    at,
-					Type:      typ,
-					Seq:       uint32(c)<<18 | uint32(i)&0x3FFFF,
-				}
-				if w.Cfg.GenerateMessageText && m.Type == platform.Text {
-					// Serialized: the per-platform text generator has its
-					// own RNG and platform services handle requests
-					// concurrently.
-					w.msgModelMu.Lock()
-					m.Text = w.msgTextGen[g.Platform].Message(g.Lang, g.Topic)
-					w.msgModelMu.Unlock()
-				}
-				out = append(out, m)
-			}
-		}
-		dayStart = dayEnd
+	var tg *textgen.Generator
+	if w.Cfg.GenerateMessageText {
+		tg = textgen.New(rand.New(&textPCG))
 	}
-	// Time-ordered, as every platform's history API serves them. Seq
-	// breaks same-millisecond ties deterministically; the key is a total
-	// order, so the unstable sort has a unique result.
-	slices.SortFunc(out, func(a, b Message) int {
-		if c := a.SentAt.Compare(b.SentAt); c != 0 {
-			return c
+	chSeed := g.noiseSeed ^ uint64(ch)<<32
+	for dayStart := from.Truncate(24 * time.Hour); dayStart.Before(to); dayStart = dayStart.Add(24 * time.Hour) {
+		dayIdx := uint64(dayStart.Unix() / 86400)
+		pcg.Seed(chSeed, dayIdx)
+		n := dist.Poisson(dayRng, rate)
+		first := len(out)
+		out = slices.Grow(out, n)
+		for i := 0; i < n; i++ {
+			// All draws happen unconditionally so the RNG stream stays
+			// aligned no matter how the requested window slices the day.
+			at := dayStart.Add(time.Duration(dayRng.Int64N(int64(24 * time.Hour))))
+			author := active[authorZipf.Sample(dayRng)-1]
+			typ := parseMsgType(typeSampler.Sample(dayRng))
+			if at.Before(from) || !at.Before(to) {
+				continue
+			}
+			m := Message{
+				GroupCode: g.Code,
+				Channel:   ch,
+				AuthorIdx: author,
+				SentAt:    at,
+				Type:      typ,
+				Seq:       uint32(ch)<<18 | uint32(i)&0x3FFFF,
+			}
+			if tg != nil && typ == platform.Text {
+				textPCG.Seed(chSeed^msgTextTag, dayIdx<<18|uint64(i))
+				m.Text = tg.Message(g.Lang, g.Topic)
+			}
+			out = append(out, m)
 		}
-		if a.Channel != b.Channel {
-			return a.Channel - b.Channel
-		}
-		return int(a.Seq) - int(b.Seq)
-	})
+		// Time-ordered, as every platform's history API serves them. Days
+		// do not overlap, so sorting each day's run sorts the whole slice.
+		// Seq breaks same-instant ties; the key is a total order, so the
+		// unstable sort has a unique result.
+		slices.SortFunc(out[first:], func(a, b Message) int {
+			if c := a.SentAt.Compare(b.SentAt); c != 0 {
+				return c
+			}
+			return int(a.Seq) - int(b.Seq)
+		})
+	}
 	return out
 }
 

@@ -106,15 +106,13 @@ type World struct {
 
 	Groups       map[platform.Platform][]*Group
 	byKey        map[groupKey]*Group
-	TweetsByDay  [][]*Tweet        // per study day, sorted by CreatedAt
+	TweetsByDay  [][]*Tweet // per study day, sorted by CreatedAt
 	ControlByDay [][]*Tweet
 	PostsByDay   [][]*Post // secondary social network
 
 	userPoolSize map[platform.Platform]int
-	msgTextGen   map[platform.Platform]*textgen.Generator
 
-	msgModelMu sync.Mutex
-	msgModels  map[*Group]*msgModel
+	msgModels sync.Map // *Group -> *msgModel
 
 	// userCache memoizes UserByIdx: user identities are pure functions of
 	// (platform, idx, seed) and the history/participant paths resolve the
@@ -144,7 +142,6 @@ func New(cfg Config) *World {
 		TweetsByDay:  make([][]*Tweet, cfg.Days),
 		ControlByDay: make([][]*Tweet, cfg.Days),
 		userPoolSize: map[platform.Platform]int{},
-		msgTextGen:   map[platform.Platform]*textgen.Generator{},
 	}
 	// Pool sizes are set so member overlap across joined groups matches the
 	// paper: WhatsApp's 416 joined groups held 20,906 distinct members for
@@ -164,7 +161,6 @@ func New(cfg Config) *World {
 		}
 	}
 	for _, p := range platform.All {
-		w.msgTextGen[p] = textgen.New(ids.Fork(cfg.Seed, "msgtext/"+p.String()))
 		w.genPlatform(p)
 	}
 	w.genControl()

@@ -150,8 +150,8 @@ func TestMessagesDeterministicAndWindowed(t *testing.T) {
 	g := w.Groups[platform.WhatsApp][0]
 	from := w.Cfg.Start
 	to := from.Add(5 * 24 * time.Hour)
-	a := w.Messages(g, from, to)
-	b := w.Messages(g, from, to)
+	a := w.Messages(g, 0, from, to)
+	b := w.Messages(g, 0, from, to)
 	if len(a) != len(b) {
 		t.Fatalf("message counts differ: %d vs %d", len(a), len(b))
 	}
@@ -171,11 +171,13 @@ func TestMessagesSubWindowIsSubset(t *testing.T) {
 	from := w.Cfg.Start
 	mid := from.Add(3 * 24 * time.Hour)
 	to := from.Add(6 * 24 * time.Hour)
-	full := w.Messages(g, from, to)
-	first := w.Messages(g, from, mid)
-	second := w.Messages(g, mid, to)
-	if len(first)+len(second) != len(full) {
-		t.Fatalf("window split changes totals: %d + %d != %d", len(first), len(second), len(full))
+	for ch := 0; ch < g.Channels; ch++ {
+		full := w.Messages(g, ch, from, to)
+		first := w.Messages(g, ch, from, mid)
+		second := w.Messages(g, ch, mid, to)
+		if len(first)+len(second) != len(full) {
+			t.Fatalf("channel %d: window split changes totals: %d + %d != %d", ch, len(first), len(second), len(full))
+		}
 	}
 }
 
