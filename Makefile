@@ -31,7 +31,7 @@ bench:
 # core count. benchjson's -cpus mode runs the suite under each GOMAXPROCS
 # in BENCH_CPUS, so the document carries a per-CPU-count matrix — the
 # measurements behind the SearchWorkers/CollectWorkers defaults and the
-# LDA chunk-merge speedup (BenchmarkLDAFit/parallel per CPU count),
+# LDA chunk-merge speedup (BenchmarkLDAFit/alias/parallel per CPU count),
 # measured rather than assumed.
 BENCH_PATTERN = StudyRun|HourlySearch|DailySweep|LDAFit|LDASweep|RenderAll|StoreIngest
 BENCH_PKGS = ./internal/core ./internal/analysis/lda ./internal/store
@@ -91,22 +91,24 @@ bench-scale:
 		./internal/store
 
 # Short fuzz bursts over the parsing surfaces the fault injector attacks
-# (URL extraction and the WhatsApp landing-page scraper) plus the sparse
-# LDA bucket sampler's invariants under arbitrary count shapes. 10s per
+# (URL extraction and the WhatsApp landing-page scraper), the alias-table
+# construction, the checkpoint manifest decoder and the spill segment
+# reader (open, bind and read every row of arbitrary bytes). 10s per
 # target: long enough to shake out regressions against the checked-in
 # corpus, short enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/urlpat
 	$(GO) test -run='^$$' -fuzz='^FuzzExtract$$' -fuzztime=10s ./internal/urlpat
 	$(GO) test -run='^$$' -fuzz='^FuzzScrapeLanding$$' -fuzztime=10s ./internal/platform/whatsapp
-	$(GO) test -run='^$$' -fuzz='^FuzzSparseBucket$$' -fuzztime=10s ./internal/analysis/lda
 	$(GO) test -run='^$$' -fuzz='^FuzzAliasTable$$' -fuzztime=10s ./internal/analysis/lda
 	$(GO) test -run='^$$' -fuzz='^FuzzManifestDecode$$' -fuzztime=10s ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=10s ./internal/store
 
-# Topic-kernel smoke: fit all three Gibbs kernels (dense, sparse, alias)
-# on a tiny corpus and assert converged perplexity parity, then one pass
-# of the LDA benchmarks under the harness. Cheap proof in CI that a
-# sampler change cannot silently diverge the chains' topic quality.
+# Topic-kernel smoke: fit both Gibbs kernels (the dense reference and the
+# alias chain Fit routes K <= 256 to) on a tiny corpus and assert
+# converged perplexity parity, then one pass of the LDA benchmarks under
+# the harness. Cheap proof in CI that a sampler change cannot silently
+# diverge the alias chain's topic quality from the exact conditional.
 bench-lda:
 	$(GO) test -count=1 -run='^TestLDASamplerParitySmoke$$' ./internal/analysis/lda
 	$(GO) test -run='^$$' -bench='LDAFit|LDASweep' -benchtime=1x ./internal/analysis/lda

@@ -1,11 +1,13 @@
 // Command ldatopics fits an LDA topic model (collapsed Gibbs sampling) over
 // a text corpus and prints the topics — the standalone version of the
 // paper's Table 3 analysis. Input is one document per line (plain text) or
-// a tweets.jsonl file written by `msgscope run -out`.
+// a tweets.jsonl file written by `msgscope run -out`. The Gibbs kernel
+// follows from -k, as in lda.Fit: alias-table MH up to 256 topics, the
+// dense reference chain above.
 //
 // Usage:
 //
-//	ldatopics -k 10 -iters 200 [-sampler alias] [-lang en] [-jsonl] [-platform WhatsApp] FILE
+//	ldatopics -k 10 -iters 200 [-lang en] [-jsonl] [-platform WhatsApp] FILE
 package main
 
 import (
@@ -34,16 +36,10 @@ func run() error {
 	jsonl := flag.Bool("jsonl", false, "input is a tweets.jsonl dataset file")
 	lang := flag.String("lang", "en", "language filter for -jsonl input (empty = all)")
 	plat := flag.String("platform", "", "platform filter for -jsonl input (WhatsApp/Telegram/Discord)")
-	samplerName := flag.String("sampler", "", "Gibbs kernel: dense, sparse or alias (default: package routing)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("expected exactly one input file, got %d", flag.NArg())
 	}
-	sampler, err := lda.ParseSampler(*samplerName)
-	if err != nil {
-		return err
-	}
-
 	texts, err := loadTexts(flag.Arg(0), *jsonl, *lang, *plat)
 	if err != nil {
 		return err
@@ -52,7 +48,7 @@ func run() error {
 		return fmt.Errorf("no documents after filtering")
 	}
 	corpus := textproc.NewCorpus(textproc.NewTokenizer(), texts)
-	model := lda.Fit(corpus, lda.Config{Topics: *k, Iterations: *iters, Seed: *seed, Sampler: sampler})
+	model := lda.Fit(corpus, lda.Config{Topics: *k, Iterations: *iters, Seed: *seed})
 	fmt.Printf("%d documents, %d vocabulary, %d topics, perplexity %.1f\n",
 		len(corpus.Docs), corpus.Vocab.Size(), *k, model.Perplexity())
 	for _, s := range model.Summaries(*topN) {

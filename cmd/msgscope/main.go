@@ -58,7 +58,7 @@ func run(args []string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  msgscope run    [-seed N] [-scale F] [-days N] [-fault-rate F] [-lda-sampler NAME] [-out DIR] [-exp id,...] [-summary]
+  msgscope run    [-seed N] [-scale F] [-days N] [-fault-rate F] [-out DIR] [-exp id,...] [-summary]
   msgscope run    [-checkpoint DIR | -resume DIR] [-mem-budget SIZE] ...
   msgscope report [-seed N] [-scale F] -exp table2,fig1,...
   msgscope serve  [-seed N] [-scale F] [-speedup X] [-addr HOST:PORT]
@@ -108,7 +108,6 @@ func runStudy(args []string) error {
 	csvDir := fs.String("csv", "", "directory to write per-figure CSV data (optional)")
 	svgDir := fs.String("svg", "", "directory to render per-figure SVG charts (optional)")
 	socialSrc := fs.Bool("social", false, "enable the secondary discovery source (crosssource experiment)")
-	ldaSampler := fs.String("lda-sampler", "", "LDA Gibbs kernel for the table3 analysis: dense, sparse or alias (default: package routing)")
 	faultRate := fs.Float64("fault-rate", 0, "per-request probability of an injected server error (plus timeouts and malformed bodies at a quarter of the rate); 0 disables fault injection")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof allocs/heap profile to this file at exit")
@@ -149,7 +148,6 @@ func runStudy(args []string) error {
 		JoinDiscord:         *joinDC,
 		GenerateMessageText: *text,
 		SocialDiscovery:     *socialSrc,
-		LDASampler:          *ldaSampler,
 		ProfilePhases:       *profPhases,
 	}
 	if *topics != "" {

@@ -75,10 +75,10 @@ func TestTextRunsAreDeterministic(t *testing.T) {
 }
 
 // TestLDAWorkerCountInvariance is the analysis-phase half of the
-// determinism contract: both parallel Gibbs samplers — the sparse s/r/q
-// decomposition and the alias-table Metropolis–Hastings chain — must
-// produce a byte-identical fitted model at any worker count, because
-// Table 3's topics must not depend on the machine it ran on. The corpus
+// determinism contract: the default Fit — the alias-table
+// Metropolis–Hastings chain at K = 10 — must produce a byte-identical
+// fitted model at any worker count, because Table 3's topics must not
+// depend on the machine it ran on. The corpus
 // goes through the production tokenizer path so the test pins the whole
 // text→topics chain, not just the sampler.
 func TestLDAWorkerCountInvariance(t *testing.T) {
@@ -107,9 +107,9 @@ func TestLDAWorkerCountInvariance(t *testing.T) {
 	// ranked word summaries. (The Model struct itself records the worker
 	// count in its config, so models fitted at different widths are
 	// compared by their observable state.)
-	fingerprint := func(sampler lda.Sampler, workers int) any {
+	fingerprint := func(workers int) any {
 		m := lda.Fit(corpus, lda.Config{
-			Topics: 10, Iterations: 60, Seed: 42, Workers: workers, Sampler: sampler,
+			Topics: 10, Iterations: 60, Seed: 42, Workers: workers,
 		})
 		docs := make([]int, 600)
 		for d := range docs {
@@ -117,12 +117,10 @@ func TestLDAWorkerCountInvariance(t *testing.T) {
 		}
 		return []any{docs, m.TopicShares(), m.Summaries(10), m.Perplexity()}
 	}
-	for _, sampler := range []lda.Sampler{lda.SamplerSparse, lda.SamplerAlias} {
-		want := fingerprint(sampler, 1)
-		for _, workers := range []int{4, 16} {
-			if got := fingerprint(sampler, workers); !reflect.DeepEqual(got, want) {
-				t.Errorf("lda.Fit(%s) with %d workers diverges from the serial fit", sampler, workers)
-			}
+	want := fingerprint(1)
+	for _, workers := range []int{4, 16} {
+		if got := fingerprint(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("lda.Fit with %d workers diverges from the serial fit", workers)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 //
 //	p(z=k | ·) ∝ (ndt[d][k]+α)(nwt[w][k]+β) / (nt[k]+βV)
 //
-// per token (O(K) dense, O(nonzero) sparse), each token draws a proposal
+// per token (O(K) in the dense reference), each token draws a proposal
 // from a cheap distribution covering one factor of the conditional and
 // corrects it with a Metropolis–Hastings acceptance step:
 //
@@ -42,21 +42,24 @@
 // the merge). MH stays exact under a stale proposal as long as the
 // acceptance ratio uses the same stale weights the table was built from —
 // wProp keeps them. Word-topic counts live in dense int32 rows rather
-// than the sparse sampler's packed rows: the MH acceptance needs random
-// O(1) count lookups, not nonzero enumeration, and at the paper's K a
-// dense row still fits one cache line (the packed scan measured ~40%
-// slower here; DESIGN.md §15 records the experiment).
+// than packed nonzero lists: the MH acceptance needs random O(1) count
+// lookups, not nonzero enumeration, and at the paper's K a dense row
+// still fits one cache line (a packed scan measured ~40% slower here;
+// DESIGN.md §15 records the experiment).
 //
-// Parallelism reuses the sparse sampler's determinism machinery
-// unchanged (sparse.go): fixed 256-document chunks with per-chunk
-// SplitMix64 streams, frozen global counts during a sweep, and a serial
-// iteration-barrier delta merge — so the fitted model is byte-identical
-// at any Config.Workers. Alias tables rebuild only at the barrier, on a
-// schedule depending only on the iteration index and merged counts.
-// Unlike dense/sparse, the alias chain is a *different* Markov chain over
-// the same stationary distribution: tests gate it on converged
-// perplexity/coherence parity against the dense oracle plus an
-// exact-acceptance-ratio unit oracle, not on float identity.
+// Parallel determinism: documents are split into fixed chunkDocs-document
+// chunks that do not depend on the worker count. Each chunk owns a
+// persistent RNG stream (seeded from Config.Seed and the chunk index) and
+// its documents' doc-topic rows; global word-topic counts stay frozen
+// during a sweep and every chunk records its (w, from, to) transitions,
+// which merge serially in chunk order at the iteration barrier. So the
+// fitted model is byte-identical at any Config.Workers. Alias tables
+// rebuild only at the barrier, on a schedule depending only on the
+// iteration index and merged counts. The alias chain is a *different*
+// Markov chain from the dense reference over the same stationary
+// distribution: tests gate it on converged perplexity/coherence parity
+// against the dense oracle plus an exact-acceptance-ratio unit oracle,
+// not on float identity.
 package lda
 
 import (
@@ -68,10 +71,16 @@ import (
 	"msgscope/internal/analysis/textproc"
 )
 
-// aliasMaxK bounds the alias path's topic count: merge deltas pack topics
-// into a uint8 (tdelta), so 256 topics is the ceiling. Larger K falls
-// back to the dense reference sampler.
+// aliasMaxK bounds the alias path's topic count: an alias cell stores its
+// alias topic in 8 bits, and merge deltas pack topics into a uint8
+// (tdelta), so 256 topics is the ceiling. Fit routes larger K to the
+// dense reference sampler.
 const aliasMaxK = 256
+
+// chunkDocs is the fixed document-chunk size. It is part of the
+// determinism contract: changing it changes which RNG stream samples
+// which document, i.e. the fitted model.
+const chunkDocs = 256
 
 // aliasRebuildSweeps is how many sweeps a word's alias table may serve
 // before the stale counter is honored and the table rebuilt. Rebuilding
@@ -87,9 +96,7 @@ const aliasRebuildSweeps = 4
 // multiplicative Lehmer generator — state *= M, return the high half.
 // Two multiplies and an add per draw, ~4 cycles of latency against
 // SplitMix64's ~12: every token's proposal sits on the serial RNG
-// dependency chain, so draw latency is sweep throughput. A separate type
-// from the sparse sampler's rngState keeps the sparse chain (and every
-// golden output derived from it) byte-identical to before.
+// dependency chain, so draw latency is sweep throughput.
 type aliasRng struct{ lo, hi uint64 }
 
 const lehmerMul = 0xda942042e4dd58b5
@@ -98,7 +105,7 @@ const lehmerMul = 0xda942042e4dd58b5
 // SplitMix64, forcing the low word odd (the generator is multiplicative
 // mod 2^128; odd state keeps it on the maximal orbit).
 func newAliasRng(seed uint64) aliasRng {
-	s := rngState(seed)
+	s := splitMix64(seed)
 	lo := s.next() | 1
 	return aliasRng{lo: lo, hi: s.next()}
 }
@@ -110,15 +117,39 @@ func (r *aliasRng) next() uint64 {
 	return r.hi
 }
 
-func (r *aliasRng) float64() float64 { return float64(r.next()>>11) * 0x1p-53 }
-
 func (r *aliasRng) intN(n int) int {
 	hi, _ := bits.Mul64(r.next(), uint64(n))
 	return int(hi)
 }
 
-// aliasChunk is one fixed 256-document span with its own RNG stream and
-// transition log — the alias twin of sparse.go's chunkState.
+// splitMix64 is a SplitMix64 stream (Steele, Lea & Flood 2014), used only
+// to expand chunk seeds into Lehmer state.
+type splitMix64 uint64
+
+func (s *splitMix64) next() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xBF58476D1CE4B09B
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// chunkStream derives a chunk's RNG stream offset. Any injective map
+// works; the golden-ratio multiply spreads consecutive indices across the
+// seed space.
+func chunkStream(ci int) uint64 {
+	return 0x51DA<<32 ^ uint64(ci)*0x9E3779B97F4A7C15
+}
+
+// tdelta is one recorded topic transition of word w, merged into the
+// global counts at the iteration barrier.
+type tdelta struct {
+	w        int32
+	from, to uint8
+}
+
+// aliasChunk is one fixed chunkDocs-document span with its own RNG
+// stream and transition log.
 type aliasChunk struct {
 	lo, hi int
 	rng    aliasRng
@@ -197,11 +228,11 @@ func newAliasSampler(m *Model) *aliasSampler {
 			st.tok32[off+i] = int32(w)
 		}
 	}
-	nChunks := (len(m.docs) + sparseChunkDocs - 1) / sparseChunkDocs
+	nChunks := (len(m.docs) + chunkDocs - 1) / chunkDocs
 	st.chunks = make([]aliasChunk, nChunks)
 	for ci := range st.chunks {
-		lo := ci * sparseChunkDocs
-		hi := lo + sparseChunkDocs
+		lo := ci * chunkDocs
+		hi := lo + chunkDocs
 		if hi > len(m.docs) {
 			hi = len(m.docs)
 		}

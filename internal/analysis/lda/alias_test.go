@@ -1,8 +1,11 @@
 package lda
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"msgscope/internal/analysis/textproc"
@@ -200,7 +203,7 @@ func TestAliasAcceptanceOracle(t *testing.T) {
 func TestAliasFusedMatchesFactored(t *testing.T) {
 	for _, K := range []int{6, 20} {
 		c := mixedCorpus(300)
-		cfg := Config{Topics: K, Iterations: 15, Seed: 3, Workers: 1, Sampler: SamplerAlias}
+		cfg := Config{Topics: K, Iterations: 15, Seed: 3, Workers: 1}
 		base := Fit(c, cfg)
 		m := fitAliasFactored(c, cfg.withDefaults())
 		if !equalInts(base.z, m.z) || !equalInts(base.nwt, m.nwt) ||
@@ -258,18 +261,13 @@ func fitAliasFactored(c *textproc.Corpus, cfg Config) *Model {
 // TestAliasMatchesDensePerplexity is the convergence gate: alias-MH is a
 // different Markov chain than the exact-conditional samplers, so instead
 // of float identity the converged fit must reach the same perplexity
-// basin as the dense oracle (same tolerance the sparse sampler is held
-// to), in both layouts.
+// basin as the dense oracle, at two topic counts.
 func TestAliasMatchesDensePerplexity(t *testing.T) {
 	c := mixedCorpus(400)
 	for _, K := range []int{8, 20} {
-		cfg := Config{Topics: K, Iterations: 120, Seed: 42}
-		dense := cfg
-		dense.Sampler = SamplerDense
-		alias := cfg
-		alias.Sampler = SamplerAlias
-		pd := Fit(c, dense).Perplexity()
-		pa := Fit(c, alias).Perplexity()
+		cfg := Config{Topics: K, Iterations: 120, Seed: 42}.withDefaults()
+		pd := fitDense(c, cfg).Perplexity()
+		pa := fitAlias(c, cfg).Perplexity()
 		if math.Abs(pd-pa)/pd > 0.10 {
 			t.Errorf("K=%d: converged perplexity diverges: dense %.2f alias %.2f", K, pd, pa)
 		}
@@ -282,9 +280,9 @@ func TestAliasMatchesDensePerplexity(t *testing.T) {
 func TestAliasWorkersByteIdentical(t *testing.T) {
 	c := mixedCorpus(900) // 4 chunks
 	for _, K := range []int{9, 20} {
-		base := Fit(c, Config{Topics: K, Iterations: 25, Seed: 17, Workers: 1, Sampler: SamplerAlias})
+		base := Fit(c, Config{Topics: K, Iterations: 25, Seed: 17, Workers: 1})
 		for _, workers := range []int{2, 3, 4, 16} {
-			m := Fit(c, Config{Topics: K, Iterations: 25, Seed: 17, Workers: workers, Sampler: SamplerAlias})
+			m := Fit(c, Config{Topics: K, Iterations: 25, Seed: 17, Workers: workers})
 			if !equalInts(base.z, m.z) || !equalInts(base.nwt, m.nwt) ||
 				!equalInts(base.ndt, m.ndt) || !equalInts(base.nt, m.nt) {
 				t.Errorf("K=%d workers=%d: fitted model diverges from serial fit", K, workers)
@@ -298,7 +296,7 @@ func TestAliasWorkersByteIdentical(t *testing.T) {
 func TestAliasCountInvariants(t *testing.T) {
 	c := mixedCorpus(250)
 	for _, K := range []int{5, 20} {
-		m := Fit(c, Config{Topics: K, Iterations: 10, Seed: 23, Sampler: SamplerAlias})
+		m := Fit(c, Config{Topics: K, Iterations: 10, Seed: 23})
 		nwt := make([]int, len(m.nwt))
 		ndt := make([]int, len(m.ndt))
 		nt := make([]int, K)
@@ -350,14 +348,20 @@ func TestAliasStaleRebuild(t *testing.T) {
 	}
 }
 
-// TestAliasTopicCeiling: K above aliasMaxK must fall back to the dense
-// reference rather than overflow the uint8 delta encoding.
+// TestAliasTopicCeiling: Fit must route K above aliasMaxK to the dense
+// reference rather than overflow the 8-bit alias cells and deltas, and
+// K = aliasMaxK must still take the alias chain.
 func TestAliasTopicCeiling(t *testing.T) {
 	c := mixedCorpus(60)
-	m := Fit(c, Config{Topics: aliasMaxK + 1, Iterations: 2, Seed: 1, Sampler: SamplerAlias})
-	ref := Fit(c, Config{Topics: aliasMaxK + 1, Iterations: 2, Seed: 1, Sampler: SamplerDense})
-	if !equalInts(m.z, ref.z) {
+	over := Config{Topics: aliasMaxK + 1, Iterations: 2, Seed: 1}
+	m, ref := Fit(c, over), fitDense(c, over.withDefaults())
+	if !equalInts(m.z, ref.z) || !equalInts(m.nwt, ref.nwt) || !equalInts(m.ndt, ref.ndt) {
 		t.Error("K > aliasMaxK should route to the dense sampler")
+	}
+	at := Config{Topics: aliasMaxK, Iterations: 2, Seed: 1}
+	m, ref = Fit(c, at), fitAlias(c, at.withDefaults())
+	if !equalInts(m.z, ref.z) || !equalInts(m.nwt, ref.nwt) {
+		t.Error("K = aliasMaxK should route to the alias sampler")
 	}
 }
 
@@ -422,4 +426,153 @@ func FuzzAliasTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mixedCorpus builds a messier corpus than synthCorpus: overlapping word
+// pools, varying document lengths, a few empty documents — the shapes the
+// chunked bookkeeping has to survive.
+func mixedCorpus(nDocs int) *textproc.Corpus {
+	pools := [][]string{
+		{"bitcoin", "crypto", "wallet", "trading", "profit", "signal"},
+		{"anime", "server", "gaming", "nitro", "discord", "signal"},
+		{"invite", "group", "link", "join", "telegram", "wallet"},
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	var texts []string
+	for i := 0; i < nDocs; i++ {
+		if i%17 == 0 {
+			texts = append(texts, "")
+			continue
+		}
+		pool := pools[i%len(pools)]
+		n := 3 + rng.IntN(20)
+		var words []string
+		for j := 0; j < n; j++ {
+			words = append(words, pool[rng.IntN(len(pool))])
+		}
+		texts = append(texts, strings.Join(words, " "))
+	}
+	return textproc.NewCorpus(textproc.NewTokenizer(), texts)
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// benchCorpus approximates the Table 3 workload: a few thousand short
+// tweet-like documents over a vocabulary of thousands of words, with
+// Zipf-skewed frequencies concentrated per latent topic. A toy corpus
+// where every word occurs in every topic would flatter the alias tables'
+// cache footprint.
+func benchCorpus() *textproc.Corpus { return benchCorpusShape(400, 4000) }
+
+// benchCorpusShape builds the tweet-shaped corpus at a chosen vocabulary
+// (10 latent pools × poolSize words) and document count, so the sweep
+// bench can vary vocabulary independently of the model's K.
+func benchCorpusShape(poolSize, nDocs int) *textproc.Corpus {
+	const latent = 10
+	pools := make([][]string, latent)
+	for t := range pools {
+		pool := make([]string, poolSize)
+		for j := range pool {
+			pool[j] = fmt.Sprintf("tw%dx%d", t, j)
+		}
+		pools[t] = pool
+	}
+	rng := rand.New(rand.NewPCG(21, 4))
+	texts := make([]string, nDocs)
+	for i := range texts {
+		pool := pools[i%latent]
+		n := 8 + rng.IntN(13)
+		words := make([]string, n)
+		for j := range words {
+			// A log-uniform rank draw approximates the Zipfian token
+			// frequencies of real tweet text.
+			r := rng.Float64()
+			words[j] = pool[int(math.Exp(r*math.Log(float64(poolSize))))-1]
+		}
+		texts[i] = strings.Join(words, " ")
+	}
+	return textproc.NewCorpus(textproc.NewTokenizer(), texts)
+}
+
+// corpusTokens counts the token instances one Gibbs sweep visits.
+func corpusTokens(c *textproc.Corpus) int {
+	n := 0
+	for _, d := range c.Docs {
+		n += len(d)
+	}
+	return n
+}
+
+// benchFit times one kernel and reports sampling throughput as a tok/s
+// custom metric — token draws (tokens × iterations) per wall second — so
+// cmd/benchjson's bench-compare gates throughput directly ("/s" metrics
+// are higher-is-better there; a drop beyond tolerance fails the gate).
+func benchFit(b *testing.B, fit func(*textproc.Corpus, Config) *Model, c *textproc.Corpus, cfg Config) {
+	b.Helper()
+	cfg = cfg.withDefaults()
+	draws := float64(corpusTokens(c)) * float64(cfg.Iterations)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fit(c, cfg)
+	}
+	b.ReportMetric(draws*float64(b.N)/b.Elapsed().Seconds(), "tok/s")
+}
+
+// BenchmarkLDAFit compares the dense reference sampler against the
+// alias-table MH sampler, serially and in parallel, at the paper's Table 3
+// config (K=10, 200 iterations). cmd/benchjson derives the alias
+// serial-vs-parallel speedup from the sub-benchmark names, per GOMAXPROCS
+// count when run under its -cpus matrix mode.
+func BenchmarkLDAFit(b *testing.B) {
+	c := benchCorpus()
+	cfg := Config{Topics: 10, Iterations: 200, Seed: 42}
+	b.Run("dense", func(b *testing.B) {
+		benchFit(b, fitDense, c, cfg)
+	})
+	b.Run("alias/serial", func(b *testing.B) {
+		s := cfg
+		s.Workers = 1
+		benchFit(b, fitAlias, c, s)
+	})
+	b.Run("alias/parallel", func(b *testing.B) {
+		benchFit(b, fitAlias, c, cfg)
+	})
+}
+
+// BenchmarkLDASweep scales the kernel comparison across K ∈ {10, 25, 50}
+// and two vocabulary sizes (4K and 16K words). The dense chain's per-token
+// cost is Θ(K) and vocabulary-independent; the alias sampler's draw is
+// O(1), so its win should widen with K — the shape longitudinal corpora
+// (TeleScope-scale) put on the kernel. Iterations are shortened: the
+// sweep gates scaling ratios, not converged models.
+func BenchmarkLDASweep(b *testing.B) {
+	kernels := []struct {
+		name string
+		fit  func(*textproc.Corpus, Config) *Model
+	}{{"dense", fitDense}, {"alias", fitAlias}}
+	for _, shape := range []struct {
+		pool int
+		name string
+	}{{400, "V4000"}, {1600, "V16000"}} {
+		c := benchCorpusShape(shape.pool, 2000)
+		for _, k := range []int{10, 25, 50} {
+			cfg := Config{Topics: k, Iterations: 50, Seed: 42, Workers: 1}
+			for _, kn := range kernels {
+				b.Run(fmt.Sprintf("K%d/%s/%s", k, shape.name, kn.name), func(b *testing.B) {
+					benchFit(b, kn.fit, c, cfg)
+				})
+			}
+		}
+	}
 }

@@ -113,30 +113,27 @@ func TestCoherenceDegenerateNPMI(t *testing.T) {
 	}
 }
 
-// TestCoherenceParitySparseAlias is the topic-quality half of the alias
-// gate: on the seed-42 paper-shaped corpus, converged sparse and alias
+// TestCoherenceParityDenseAlias is the topic-quality half of the alias
+// gate: on the seed-42 paper-shaped corpus, converged dense and alias
 // fits must land in the same coherence basin under both measures — the
-// MH chain may differ float-for-float, but not in topic quality.
-func TestCoherenceParitySparseAlias(t *testing.T) {
+// MH chain may differ float-for-float from the exact-conditional oracle,
+// but not in topic quality.
+func TestCoherenceParityDenseAlias(t *testing.T) {
 	c := mixedCorpus(400)
-	cfg := Config{Topics: 8, Iterations: 120, Seed: 42}
-	sp := cfg
-	sp.Sampler = SamplerSparse
-	al := cfg
-	al.Sampler = SamplerAlias
-	ms, ma := Fit(c, sp), Fit(c, al)
+	cfg := Config{Topics: 8, Iterations: 120, Seed: 42}.withDefaults()
+	md, ma := fitDense(c, cfg), fitAlias(c, cfg)
 
 	// One-sided gates: the MH chain may land in a different (even better)
 	// local mode, but must not lose topic quality against the exact
 	// conditional. Both scores are higher-is-better.
-	us, ua := ms.MeanCoherence(c, 8), ma.MeanCoherence(c, 8)
-	t.Logf("UMass: sparse %.4f alias %.4f", us, ua)
-	if ua < us-0.25*math.Abs(us) {
-		t.Errorf("alias UMass coherence worse than sparse: sparse %.4f alias %.4f", us, ua)
+	ud, ua := md.MeanCoherence(c, 8), ma.MeanCoherence(c, 8)
+	t.Logf("UMass: dense %.4f alias %.4f", ud, ua)
+	if ua < ud-0.25*math.Abs(ud) {
+		t.Errorf("alias UMass coherence worse than dense: dense %.4f alias %.4f", ud, ua)
 	}
-	ns, na := ms.MeanNPMICoherence(c, 8), ma.MeanNPMICoherence(c, 8)
-	t.Logf("NPMI: sparse %.4f alias %.4f", ns, na)
-	if na < ns-0.15 {
-		t.Errorf("alias NPMI coherence worse than sparse: sparse %.4f alias %.4f", ns, na)
+	nd, na := md.MeanNPMICoherence(c, 8), ma.MeanNPMICoherence(c, 8)
+	t.Logf("NPMI: dense %.4f alias %.4f", nd, na)
+	if na < nd-0.15 {
+		t.Errorf("alias NPMI coherence worse than dense: dense %.4f alias %.4f", nd, na)
 	}
 }

@@ -1,7 +1,9 @@
 // Package lda implements Latent Dirichlet Allocation (Blei, Ng, Jordan
 // 2003) with collapsed Gibbs sampling (Griffiths & Steyvers 2004) — the
-// topic model the paper applies to English tweets to produce Table 3. Only
-// the standard library is used.
+// topic model the paper applies to English tweets to produce Table 3. Fit
+// samples with the alias-table Metropolis–Hastings kernel (alias.go) up to
+// aliasMaxK topics and with the dense exact-conditional chain above that.
+// Only the standard library is used.
 package lda
 
 import (
@@ -13,34 +15,6 @@ import (
 	"msgscope/internal/analysis/textproc"
 )
 
-// Sampler names a Gibbs kernel. The empty string (SamplerAuto) picks the
-// historical default: SparseLDA for K ≤ 15, the dense reference above.
-type Sampler string
-
-const (
-	// SamplerAuto is the default routing: sparse for K ≤ sparseMaxK,
-	// dense otherwise (Config.Dense still forces dense).
-	SamplerAuto Sampler = ""
-	// SamplerDense is the O(K)-per-token exact-conditional reference
-	// chain — the differential oracle of the other two.
-	SamplerDense Sampler = "dense"
-	// SamplerSparse is the s/r/q bucket decomposition (sparse.go).
-	SamplerSparse Sampler = "sparse"
-	// SamplerAlias is the alias-table Metropolis–Hastings sampler
-	// (alias.go): O(1) proposals from per-word alias tables, corrected by
-	// an acceptance step.
-	SamplerAlias Sampler = "alias"
-)
-
-// ParseSampler validates a sampler name from a flag or config file.
-func ParseSampler(s string) (Sampler, error) {
-	switch Sampler(s) {
-	case SamplerAuto, SamplerDense, SamplerSparse, SamplerAlias:
-		return Sampler(s), nil
-	}
-	return SamplerAuto, fmt.Errorf("lda: unknown sampler %q (want dense, sparse or alias)", s)
-}
-
 // Config parameterizes a model fit.
 type Config struct {
 	Topics     int     // K
@@ -48,27 +22,13 @@ type Config struct {
 	Beta       float64 // topic-word prior (default 0.01)
 	Iterations int     // Gibbs sweeps (default 200)
 	Seed       uint64
-	// Workers bounds the sparse and alias samplers' sweep parallelism
-	// (0 = GOMAXPROCS, 1 = serial). The fitted model is byte-identical at
-	// any worker count: documents are partitioned into fixed-size chunks
-	// with their own SplitMix64 streams, and count updates merge at an
-	// iteration barrier (see sparse.go).
+	// Workers bounds the alias sampler's sweep parallelism (0 =
+	// GOMAXPROCS, 1 = serial). The fitted model is byte-identical at any
+	// worker count: documents are partitioned into fixed-size chunks with
+	// their own RNG streams, and count updates merge at an iteration
+	// barrier (see alias.go). The dense route above aliasMaxK topics is
+	// one sequential chain and ignores it.
 	Workers int
-	// Sampler picks the Gibbs kernel; SamplerAuto (the zero value) keeps
-	// the historical routing. Every sampler targets the same collapsed
-	// posterior: dense and sparse draw the exact conditional (identical
-	// converged quality, pinned float-for-float against each other in
-	// tests), alias runs a Metropolis–Hastings chain whose stationary
-	// distribution is that conditional (converged perplexity parity is
-	// the gate instead of float identity).
-	Sampler Sampler
-	// Dense selects the reference O(K)-per-token sequential sampler
-	// instead of the default SparseLDA sampler — shorthand for
-	// Sampler: SamplerDense kept for existing callers; Workers is ignored
-	// (the dense chain is inherently sequential). Topics above sparseMaxK
-	// (15) also take this path under SamplerAuto — the sparse sweep
-	// specializes small K.
-	Dense bool
 }
 
 func (c Config) withDefaults() Config {
@@ -105,33 +65,16 @@ type Model struct {
 	docLen []int
 }
 
-// Fit runs collapsed Gibbs sampling over the corpus. The default sampler
-// is the SparseLDA s/r/q bucket decomposition (sparse.go), deterministic
-// at any Config.Workers; Config.Sampler (or the legacy Config.Dense)
-// selects the dense reference chain or the alias-table MH sampler
-// (alias.go) instead. Configurations a kernel cannot represent — K above
-// its topic ceiling, packed-count overflow — fall back to the dense path
-// rather than failing.
+// Fit runs collapsed Gibbs sampling over the corpus. The kernel follows
+// from K alone: the alias-table Metropolis–Hastings sampler (alias.go),
+// deterministic at any Config.Workers, for K ≤ aliasMaxK, and the dense
+// reference chain above that, where the alias cells cannot index a topic.
 func Fit(c *textproc.Corpus, cfg Config) *Model {
 	cfg = cfg.withDefaults()
-	switch cfg.Sampler {
-	case SamplerDense:
-		return fitDense(c, cfg)
-	case SamplerSparse:
-		if cfg.Topics > sparseMaxK {
-			return fitDense(c, cfg)
-		}
-		return fitSparse(c, cfg)
-	case SamplerAlias:
-		if cfg.Topics > aliasMaxK {
-			return fitDense(c, cfg)
-		}
-		return fitAlias(c, cfg)
-	}
-	if cfg.Dense || cfg.Topics > sparseMaxK {
+	if cfg.Topics > aliasMaxK {
 		return fitDense(c, cfg)
 	}
-	return fitSparse(c, cfg)
+	return fitAlias(c, cfg)
 }
 
 // newModel allocates the count arrays shared by both samplers. Topic
@@ -164,7 +107,9 @@ func newModel(c *textproc.Corpus, cfg Config) *Model {
 }
 
 // fitDense is the reference collapsed Gibbs sampler: one sequential chain,
-// O(K) work and two divisions per topic per token.
+// O(K) work and two divisions per topic per token. Fit takes it only above
+// aliasMaxK topics; in-package tests use it as the exact-conditional
+// oracle the alias chain is gated against.
 func fitDense(c *textproc.Corpus, cfg Config) *Model {
 	K := cfg.Topics
 	V := c.Vocab.Size()

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"msgscope/internal/analysis/lda"
 	"msgscope/internal/collect"
 	"msgscope/internal/faults"
 	"msgscope/internal/httpx"
@@ -88,11 +87,6 @@ type Config struct {
 	// source: a secondary social network's public feed is polled hourly
 	// alongside the Twitter APIs.
 	EnableSocialDiscovery bool
-	// LDASampler picks the Gibbs kernel for the Table 3 topic extraction
-	// (dense, sparse, alias); empty keeps the lda package's default
-	// routing. Collection is unaffected — the sampler only matters when
-	// experiments are derived from the finished dataset.
-	LDASampler lda.Sampler
 	// Faults, when non-nil, injects deterministic failures (500s, aborted
 	// connections, malformed bodies, rate-limit bursts, outage windows)
 	// into every simulated service. Fault decisions are pure functions of

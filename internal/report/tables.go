@@ -95,10 +95,6 @@ type Table3Config struct {
 	// MaxTweets bounds the LDA input per platform (0 = all); Gibbs is
 	// quadratic-ish in corpus size and the shape is stable on samples.
 	MaxTweets int
-	// Sampler picks the Gibbs kernel (dense, sparse, alias); the zero
-	// value keeps lda's default routing, so existing goldens are pinned
-	// to the exact-conditional chain.
-	Sampler lda.Sampler
 }
 
 // Table3 extracts LDA topics from the English tweets of each platform.
@@ -140,7 +136,6 @@ func Table3(ds Dataset, cfg Table3Config) Table3Result {
 			Topics:     cfg.Topics,
 			Iterations: cfg.Iterations,
 			Seed:       cfg.Seed,
-			Sampler:    cfg.Sampler,
 		})
 		done()
 		res.Topics[p] = model.Summaries(cfg.TopWords)

@@ -244,7 +244,10 @@ func openSegFile(path, family string) (*segFile, error) {
 	}
 	footOff := int64(binary.LittleEndian.Uint64(tr[0:]))
 	footLen := int64(binary.LittleEndian.Uint64(tr[8:]))
-	if footOff < int64(len(segMagic)) || footLen <= 0 || footOff+footLen > size-segTrailerLen {
+	// Bounds are compared without summing, so no stored value can
+	// overflow past a check.
+	if footOff < int64(len(segMagic)) || footLen <= 0 || footOff > size-segTrailerLen ||
+		footLen > size-segTrailerLen-footOff {
 		return nil, corrupt("footer out of bounds")
 	}
 	fj := data[footOff : footOff+footLen]
@@ -260,7 +263,7 @@ func openSegFile(path, family string) (*segFile, error) {
 	}
 	sf.sect = make(map[string][]byte, len(sf.foot.Sections))
 	for _, s := range sf.foot.Sections {
-		if s.Off < 0 || s.Len < 0 || s.Off+s.Len > footOff || s.Off&7 != 0 {
+		if s.Off < 0 || s.Len < 0 || s.Off > footOff || s.Len > footOff-s.Off || s.Off&7 != 0 {
 			return nil, corrupt("section " + s.Name + " out of bounds")
 		}
 		sf.sect[s.Name] = data[s.Off : s.Off : s.Off+s.Len][:s.Len]
@@ -304,8 +307,16 @@ func (d segStrs) remap(tab *ids.Table) []uint32 {
 	return m
 }
 
-func bindStrs(f *segFile, name string) segStrs {
-	return segStrs{off: castSlice[uint64](f.sec(name + ".off")), blob: f.sec(name + ".blob")}
+// bindStrs binds dictionary name and validates its offset column: a
+// dictionary always has at least the leading 0 offset, so an empty or
+// missing column is corruption too.
+func bindStrs(c *segCheck, name string) segStrs {
+	d := segStrs{off: castSlice[uint64](c.f.sec(name + ".off")), blob: c.f.sec(name + ".blob")}
+	if len(d.off) == 0 {
+		c.fail(name+".off", "is empty")
+	}
+	c.offsets(name+".off", d.off, d.blob)
+	return d
 }
 
 // dictBuilder assigns segment-local handles in first-use order while a
@@ -343,16 +354,61 @@ func (d *dictBuilder) writeTo(w *segWriter, name string) {
 	w.end()
 }
 
-// segCheck accumulates column-length validation when binding a segment.
+// segCheck accumulates validation when binding a segment: column lengths
+// against the footer's row count, and column values wherever a bad one
+// would send a read outside the mapping — prefix offsets into a blob and
+// handles into a dictionary. The first violation wins; later checks are
+// no-ops.
 type segCheck struct {
 	f   *segFile
 	err error
 }
 
+func (c *segCheck) fail(col, format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("store: segment %s: column %s %s", c.f.path, col, fmt.Sprintf(format, args...))
+	}
+}
+
 func (c *segCheck) want(name string, got, n int) {
-	if c.err == nil && got != n {
-		c.err = fmt.Errorf("store: segment %s: column %s has %d rows, want %d",
-			c.f.path, name, got, n)
+	if got != n {
+		c.fail(name, "has %d rows, want %d", got, n)
+	}
+}
+
+// offsets checks a prefix-offset column over blob: it starts at 0, never
+// decreases, and ends at len(blob), so every [off[i], off[i+1]) slice
+// lies inside the blob.
+func (c *segCheck) offsets(name string, off []uint64, blob []byte) {
+	if c.err != nil || len(off) == 0 {
+		return
+	}
+	if off[0] != 0 {
+		c.fail(name, "starts at %d, want 0", off[0])
+		return
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			c.fail(name, "decreases at entry %d (%d after %d)", i, off[i], off[i-1])
+			return
+		}
+	}
+	if last := off[len(off)-1]; last != uint64(len(blob)) {
+		c.fail(name, "ends at %d, blob has %d bytes", last, len(blob))
+	}
+}
+
+// handles checks that every entry of a handle column indexes dict.
+func (c *segCheck) handles(name string, col []uint32, dict segStrs) {
+	if c.err != nil {
+		return
+	}
+	n := uint32(dict.count())
+	for i, h := range col {
+		if h >= n {
+			c.fail(name, "row %d: handle %d outside its %d-entry dictionary", i, h, n)
+			return
+		}
 	}
 }
 
@@ -404,11 +460,11 @@ func bindTweetSeg(f *segFile, start int) (tweetSeg, error) {
 		group:    castSlice[uint32](f.sec("group")),
 		textOff:  castSlice[uint64](f.sec("text.off")),
 		textBlob: f.sec("text.blob"),
-		users:    bindStrs(f, "users"),
-		langs:    bindStrs(f, "langs"),
-		groups:   bindStrs(f, "groups"),
 	}
 	c := segCheck{f: f}
+	s.users = bindStrs(&c, "users")
+	s.langs = bindStrs(&c, "langs")
+	s.groups = bindStrs(&c, "groups")
 	c.want("ids", len(s.ids), n)
 	c.want("user", len(s.user), n)
 	c.want("created", len(s.created), n)
@@ -419,6 +475,10 @@ func bindTweetSeg(f *segFile, start int) (tweetSeg, error) {
 	c.want("plat", len(s.plat), n)
 	c.want("group", len(s.group), n)
 	c.want("text.off", len(s.textOff), n+1)
+	c.offsets("text.off", s.textOff, s.textBlob)
+	c.handles("user", s.user, s.users)
+	c.handles("lang", s.lang, s.langs)
+	c.handles("group", s.group, s.groups)
 	return s, c.err
 }
 
@@ -451,10 +511,10 @@ func bindControlSeg(f *segFile, start int) (controlSeg, error) {
 		hashtags: castSlice[int32](f.sec("hashtags")),
 		mentions: castSlice[int32](f.sec("mentions")),
 		flags:    f.sec("flags"),
-		users:    bindStrs(f, "users"),
-		langs:    bindStrs(f, "langs"),
 	}
 	c := segCheck{f: f}
+	s.users = bindStrs(&c, "users")
+	s.langs = bindStrs(&c, "langs")
 	c.want("ids", len(s.ids), n)
 	c.want("user", len(s.user), n)
 	c.want("created", len(s.created), n)
@@ -462,6 +522,8 @@ func bindControlSeg(f *segFile, start int) (controlSeg, error) {
 	c.want("hashtags", len(s.hashtags), n)
 	c.want("mentions", len(s.mentions), n)
 	c.want("flags", len(s.flags), n)
+	c.handles("user", s.user, s.users)
+	c.handles("lang", s.lang, s.langs)
 	return s, c.err
 }
 
@@ -502,15 +564,17 @@ func bindMsgSeg(f *segFile, start int) (msgSeg, error) {
 		typ:      f.sec("typ"),
 		textOff:  castSlice[uint64](f.sec("text.off")),
 		textBlob: f.sec("text.blob"),
-		groups:   bindStrs(f, "groups"),
 	}
 	c := segCheck{f: f}
+	s.groups = bindStrs(&c, "groups")
 	c.want("plat", len(s.plat), n)
 	c.want("group", len(s.group), n)
 	c.want("author", len(s.author), n)
 	c.want("sent", len(s.sent), n)
 	c.want("typ", len(s.typ), n)
 	c.want("text.off", len(s.textOff), n+1)
+	c.offsets("text.off", s.textOff, s.textBlob)
+	c.handles("group", s.group, s.groups)
 	return s, c.err
 }
 

@@ -621,6 +621,7 @@ func (s *Store) restoreTweetSegs(fam checkpoint.SpillFamily) error {
 		}
 		seg, err := bindTweetSeg(f, s.tweets.frozen)
 		if err != nil {
+			unmapFile(f.data)
 			return err
 		}
 		seg.userMap = seg.users.remap(s.tweets.userTab)
@@ -658,6 +659,7 @@ func (s *Store) restoreControlSegs(fam checkpoint.SpillFamily) error {
 		}
 		seg, err := bindControlSeg(f, s.control.frozen)
 		if err != nil {
+			unmapFile(f.data)
 			return err
 		}
 		seg.userMap = seg.users.remap(s.control.userTab)
@@ -678,6 +680,7 @@ func (s *Store) restoreMsgSegs(fam checkpoint.SpillFamily) error {
 		}
 		seg, err := bindMsgSeg(f, s.msgs.frozen)
 		if err != nil {
+			unmapFile(f.data)
 			return err
 		}
 		seg.groupMap = seg.groups.remap(s.msgs.groupTab)

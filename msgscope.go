@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 
-	"msgscope/internal/analysis/lda"
 	"msgscope/internal/checkpoint"
 	"msgscope/internal/core"
 	"msgscope/internal/faults"
@@ -74,14 +73,6 @@ type Options struct {
 	// second social network whose public feed is polled alongside the
 	// Twitter APIs (Section 8 future work).
 	SocialDiscovery bool
-	// LDASampler picks the Gibbs kernel for the Table 3 topic analysis:
-	// "dense" (the exact-conditional reference chain), "sparse" (the
-	// s/r/q bucket decomposition), "alias" (the alias-table
-	// Metropolis–Hastings sampler, ~3x faster than dense at the paper's
-	// K=10), or "" for the package default. Collection is unaffected;
-	// only the derived topics change chain (all samplers target the same
-	// posterior and are parity-gated in tests).
-	LDASampler string
 	// SearchWorkers bounds the hourly Search API fan-out (0 = one worker
 	// per tracked URL pattern, 1 = serial). The collected dataset is
 	// identical at any setting; only wall-clock time changes.
@@ -172,10 +163,6 @@ func Resume(ctx context.Context, dir string) (*Result, error) {
 // checkpoint options hash and payload when checkpointing is on. Run and
 // Resume share it so a resumed study is wired exactly like the original.
 func buildConfig(opts Options) (core.Config, error) {
-	sampler, err := lda.ParseSampler(opts.LDASampler)
-	if err != nil {
-		return core.Config{}, err
-	}
 	cfg := core.Config{
 		Seed:                  opts.Seed,
 		Scale:                 opts.Scale,
@@ -186,7 +173,6 @@ func buildConfig(opts Options) (core.Config, error) {
 		SearchEveryHours:      opts.SearchEveryHours,
 		JoinTitleKeywords:     opts.TopicKeywords,
 		EnableSocialDiscovery: opts.SocialDiscovery,
-		LDASampler:            sampler,
 		SearchWorkers:         opts.SearchWorkers,
 		CollectWorkers:        opts.CollectWorkers,
 		Faults:                opts.Faults,
@@ -321,7 +307,6 @@ var experiments = map[string]func(*Result) string{
 	"table3": func(r *Result) string {
 		return report.Table3(r.ds, report.Table3Config{
 			Seed: r.study.Cfg.Seed, Iterations: 120, MaxTweets: 4000,
-			Sampler: r.study.Cfg.LDASampler,
 		}).Render()
 	},
 	"table4": func(r *Result) string { return report.Table4(r.ds).Render() },

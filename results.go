@@ -168,7 +168,6 @@ func (r *Result) Topics(platformName string, k, iterations int) ([]Topic, error)
 		Iterations: iterations,
 		Seed:       r.study.Cfg.Seed,
 		MaxTweets:  4000,
-		Sampler:    r.study.Cfg.LDASampler,
 	})
 	sums, ok := t3.Topics[p]
 	if !ok {
