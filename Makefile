@@ -92,10 +92,12 @@ bench-scale:
 
 # Short fuzz bursts over the parsing surfaces the fault injector attacks
 # (URL extraction and the WhatsApp landing-page scraper), the alias-table
-# construction, the checkpoint manifest decoder and the spill segment
-# reader (open, bind and read every row of arbitrary bytes). 10s per
-# target: long enough to shake out regressions against the checked-in
-# corpus, short enough for every CI run.
+# construction, the checkpoint manifest decoder, the spill segment
+# reader (open, bind and read every row of arbitrary bytes), checkpoint
+# record-log replay (arbitrary bytes in one of the five logs) and the
+# streaming dataset Load (one arbitrary dataset file). 10s per target:
+# long enough to shake out regressions against the checked-in corpus,
+# short enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/urlpat
 	$(GO) test -run='^$$' -fuzz='^FuzzExtract$$' -fuzztime=10s ./internal/urlpat
@@ -103,6 +105,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAliasTable$$' -fuzztime=10s ./internal/analysis/lda
 	$(GO) test -run='^$$' -fuzz='^FuzzManifestDecode$$' -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointReplay$$' -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/store
 
 # Topic-kernel smoke: fit both Gibbs kernels (the dense reference and the
 # alias chain Fit routes K <= 256 to) on a tiny corpus and assert

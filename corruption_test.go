@@ -9,6 +9,7 @@ import (
 
 	"msgscope"
 	"msgscope/internal/checkpoint"
+	"msgscope/internal/store"
 )
 
 // corruptionOpts is the small study the corruption tests kill and tamper
@@ -150,8 +151,12 @@ func TestResumeRejectsDamagedLogs(t *testing.T) {
 		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := msgscope.Resume(ctx, dir); err == nil || res != nil {
+		res, err := msgscope.Resume(ctx, dir)
+		if err == nil || res != nil {
 			t.Fatalf("Resume with a truncated %s: res=%v err=%v, want error", name, res, err)
+		}
+		if !errors.Is(err, store.ErrCorruptLog) {
+			t.Fatalf("Resume with a truncated %s: %v, want an error wrapping store.ErrCorruptLog", name, err)
 		}
 	})
 

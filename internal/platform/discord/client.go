@@ -63,19 +63,9 @@ func NewClient(baseURL, account string) *Client {
 		BaseURL:  strings.TrimRight(baseURL, "/"),
 		Account:  account,
 		HTTP:     httpx.NewClient(),
-		Retry:    retry.New(accountSeed(account)),
+		Retry:    retry.New(retry.AccountSeed(account)),
 		interner: ids.NewInterner(),
 	}
-}
-
-// accountSeed hashes the account name (FNV-1a) into a jitter seed.
-func accountSeed(account string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(account); i++ {
-		h ^= uint64(account[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 func (c *Client) do(ctx context.Context, method, path string, v any) error {

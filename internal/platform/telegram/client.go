@@ -58,19 +58,9 @@ func NewClient(baseURL, account string) *Client {
 		BaseURL:  strings.TrimRight(baseURL, "/"),
 		Account:  account,
 		HTTP:     httpx.NewClient(),
-		Retry:    retry.New(accountSeed(account)),
+		Retry:    retry.New(retry.AccountSeed(account)),
 		interner: ids.NewInterner(),
 	}
-}
-
-// accountSeed hashes the account name (FNV-1a) into a jitter seed.
-func accountSeed(account string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(account); i++ {
-		h ^= uint64(account[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // ProbePreview fetches and scrapes the public web preview.
@@ -429,51 +419,16 @@ type Participant struct {
 // Participants lists the chat's members; admins may hide the list, in
 // which case ErrHiddenList is returned.
 func (c *Client) Participants(ctx context.Context, code string) ([]Participant, error) {
-	var ps []Participant
-	err := c.apiDoParse(ctx, http.MethodGet, "/api/participants/"+code, func(body []byte) error {
-		var d jsonx.Dec
-		d.Reset(body)
-		ps = ps[:0]
-		err := d.Obj(func(key []byte) error {
-			if string(key) != "participants" {
-				return d.Skip()
-			}
-			return d.Arr(func() error {
-				var p Participant
-				if err := d.Obj(func(k2 []byte) error {
-					switch string(k2) {
-					case "id":
-						v, err := d.Uint()
-						p.ID = v
-						return err
-					case "name":
-						// Names draw from a small syllable pool; intern.
-						b, err := d.StrBytes()
-						if err != nil {
-							return err
-						}
-						p.Name = c.interner.InternBytes(b)
-						return nil
-					case "phone":
-						s, err := d.Str()
-						p.Phone = s
-						return err
-					}
-					return d.Skip()
-				}); err != nil {
-					return err
-				}
-				ps = append(ps, p)
-				return nil
-			})
-		})
-		if err != nil {
-			return err
-		}
-		return d.End()
-	})
-	if err != nil {
+	var out struct {
+		Participants []userJSON `json:"participants"`
+	}
+	if err := c.apiDo(ctx, http.MethodGet, "/api/participants/"+code, &out); err != nil {
 		return nil, err
+	}
+	ps := make([]Participant, len(out.Participants))
+	for i, u := range out.Participants {
+		// Names draw from a small syllable pool; intern.
+		ps[i] = Participant{ID: u.ID, Name: c.interner.Intern(u.Name), Phone: u.Phone}
 	}
 	return ps, nil
 }

@@ -413,34 +413,7 @@ func (s *Service) handleParticipants(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = j
 	}
-	bp := jsonx.GetBuf()
-	buf := appendParticipantsResponse((*bp)[:0], out)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf)
-	*bp = buf
-	jsonx.PutBuf(bp)
-}
-
-// appendParticipantsResponse renders the participant list
-// byte-identically to the former writeJSON(map[string]any{...}) call.
-func appendParticipantsResponse(dst []byte, users []userJSON) []byte {
-	dst = append(dst, `{"participants":[`...)
-	for i := range users {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		u := &users[i]
-		dst = append(dst, `{"id":`...)
-		dst = jsonx.AppendUint(dst, u.ID)
-		dst = append(dst, `,"name":`...)
-		dst = jsonx.AppendString(dst, u.Name)
-		if u.Phone != "" {
-			dst = append(dst, `,"phone":`...)
-			dst = jsonx.AppendString(dst, u.Phone)
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, ']', '}', '\n')
+	writeJSON(w, map[string]any{"participants": out})
 }
 
 func (s *Service) handleChatInfo(w http.ResponseWriter, r *http.Request) {

@@ -171,6 +171,22 @@ func TestParticipantsHiddenVsVisible(t *testing.T) {
 	if len(parts) == 0 {
 		t.Fatal("no participants")
 	}
+	// Every field survives the wire: the list is the world's member list,
+	// with phones only for opt-in users.
+	idxs := f.world.MemberIdx(visible, f.clock.Now())
+	if len(parts) != len(idxs) {
+		t.Fatalf("got %d participants, want %d", len(parts), len(idxs))
+	}
+	for i, idx := range idxs {
+		u := f.world.UserByIdx(platform.Telegram, idx)
+		want := Participant{ID: u.ID, Name: u.Name}
+		if u.PhoneVisible {
+			want.Phone = u.Phone
+		}
+		if parts[i] != want {
+			t.Fatalf("participant %d = %+v, want %+v", i, parts[i], want)
+		}
+	}
 	withPhone := 0
 	for _, p := range parts {
 		if p.Phone != "" {

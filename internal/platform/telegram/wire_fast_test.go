@@ -64,23 +64,6 @@ func TestAppendHistoryResponseMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-func TestAppendParticipantsResponseMatchesEncodingJSON(t *testing.T) {
-	cases := [][]userJSON{
-		{},
-		{{ID: 1, Name: "ana maria"}, {ID: 2, Name: "joão", Phone: "+55 11 91234-0001"}},
-	}
-	for _, users := range cases {
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(map[string]any{"participants": users}); err != nil {
-			t.Fatal(err)
-		}
-		got := appendParticipantsResponse(nil, users)
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("participants response:\n got %s\nwant %s", got, want.Bytes())
-		}
-	}
-}
-
 // TestParseHistoryPageRoundTrip runs the fast client parser over the
 // fast service encoder's output and checks the decoded messages match.
 func TestParseHistoryPageRoundTrip(t *testing.T) {

@@ -60,19 +60,9 @@ func NewClient(baseURL, account string) *Client {
 		BaseURL:  strings.TrimRight(baseURL, "/"),
 		Account:  account,
 		HTTP:     httpx.NewClient(),
-		Retry:    retry.New(accountSeed(account)),
+		Retry:    retry.New(retry.AccountSeed(account)),
 		interner: ids.NewInterner(),
 	}
-}
-
-// accountSeed hashes the account name (FNV-1a) into a jitter seed.
-func accountSeed(account string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(account); i++ {
-		h ^= uint64(account[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // ProbeInvite fetches and scrapes the landing page of an invite code.
@@ -358,47 +348,19 @@ func (c *Client) Members(ctx context.Context, code string) ([]Member, error) {
 }
 
 // parseMembers decodes a /client/members body, interning the small
-// country vocabulary. Phones are unique per member and copied.
+// country vocabulary.
 func parseMembers(body []byte, in *ids.Interner) ([]Member, error) {
-	var d jsonx.Dec
-	d.Reset(body)
-	var ms []Member
-	err := d.Obj(func(key []byte) error {
-		if string(key) != "members" {
-			return d.Skip()
-		}
-		return d.Arr(func() error {
-			var m Member
-			if err := d.Obj(func(k2 []byte) error {
-				switch string(k2) {
-				case "phone":
-					s, err := d.Str()
-					m.Phone = s
-					return err
-				case "user_id":
-					v, err := d.Uint()
-					m.UserID = v
-					return err
-				case "country":
-					b, err := d.StrBytes()
-					if err != nil {
-						return err
-					}
-					m.Country = in.InternBytes(b)
-					return nil
-				}
-				return d.Skip()
-			}); err != nil {
-				return err
-			}
-			ms = append(ms, m)
-			return nil
-		})
-	})
-	if err != nil {
+	var out struct {
+		Members []memberJSON `json:"members"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
 		return nil, err
 	}
-	return ms, d.End()
+	ms := make([]Member, len(out.Members))
+	for i, m := range out.Members {
+		ms[i] = Member{Phone: m.Phone, UserID: m.UserID, Country: in.Intern(m.Country)}
+	}
+	return ms, nil
 }
 
 // GroupInfo is member-visible group metadata.

@@ -346,33 +346,7 @@ func (s *Service) handleMembers(w http.ResponseWriter, r *http.Request) {
 		u := s.world.UserByIdx(platform.WhatsApp, idx)
 		out[i] = memberJSON{Phone: u.Phone, UserID: u.ID, Country: u.Country}
 	}
-	bp := jsonx.GetBuf()
-	buf := appendMembersResponse((*bp)[:0], out)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf)
-	*bp = buf
-	jsonx.PutBuf(bp)
-}
-
-// appendMembersResponse renders the member list byte-identically to the
-// former writeJSON(map[string]any{"members": out}) call.
-func appendMembersResponse(dst []byte, members []memberJSON) []byte {
-	dst = append(dst, `{"members":[`...)
-	for i := range members {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		m := &members[i]
-		dst = append(dst, `{"phone":`...)
-		dst = jsonx.AppendString(dst, m.Phone)
-		dst = append(dst, `,"user_id":`...)
-		dst = jsonx.AppendUint(dst, m.UserID)
-		dst = append(dst, `,"country":`...)
-		dst = jsonx.AppendString(dst, m.Country)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, ']', '}')
-	return append(dst, '\n')
+	writeJSON(w, map[string]any{"members": out})
 }
 
 // handleGroupInfo exposes metadata visible to members, including the group

@@ -138,6 +138,17 @@ func TestJoinAndMembership(t *testing.T) {
 			t.Fatal("member without exposed phone (WhatsApp exposes all)")
 		}
 	}
+	// Every field survives the wire: the list is the world's member list.
+	idxs := f.world.MemberIdx(g, f.clock.Now())
+	if len(members) != len(idxs) {
+		t.Fatalf("got %d members, want %d", len(members), len(idxs))
+	}
+	for i, idx := range idxs {
+		u := f.world.UserByIdx(platform.WhatsApp, idx)
+		if want := (Member{Phone: u.Phone, UserID: u.ID, Country: u.Country}); members[i] != want {
+			t.Fatalf("member %d = %+v, want %+v", i, members[i], want)
+		}
+	}
 }
 
 func TestJoinRevoked(t *testing.T) {

@@ -30,26 +30,6 @@ func TestAppendMessagesResponseMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-func TestAppendMembersResponseMatchesEncodingJSON(t *testing.T) {
-	cases := [][]memberJSON{
-		{},
-		{
-			{Phone: "+55 11 91234-0001", UserID: 1, Country: "BR"},
-			{Phone: "+91 98765 43210", UserID: 2, Country: "IN"},
-		},
-	}
-	for _, members := range cases {
-		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(map[string]any{"members": members}); err != nil {
-			t.Fatal(err)
-		}
-		got := appendMembersResponse(nil, members)
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("members response:\n got %s\nwant %s", got, want.Bytes())
-		}
-	}
-}
-
 func TestParseMessagesRoundTrip(t *testing.T) {
 	msgs := []messageJSON{
 		{Author: "+55 11 91234-0001", UserID: 9, SentMS: 1554087000123, Type: "text", Text: "oi"},
@@ -78,35 +58,13 @@ func TestParseMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseMembersRoundTrip(t *testing.T) {
-	members := []memberJSON{
-		{Phone: "+55 11 91234-0001", UserID: 1, Country: "BR"},
-		{Phone: "+234 80 1234 5678", UserID: 2, Country: "NG"},
-	}
-	body := appendMembersResponse(nil, members)
-	in := ids.NewInterner()
-	got, err := parseMembers(body, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(members) {
-		t.Fatalf("got %d members, want %d", len(got), len(members))
-	}
-	for i, m := range got {
-		want := Member{Phone: members[i].Phone, UserID: members[i].UserID, Country: members[i].Country}
-		if m != want {
-			t.Errorf("member %d:\n got %+v\nwant %+v", i, m, want)
-		}
-	}
-}
-
 func TestParseMalformedBodies(t *testing.T) {
 	in := ids.NewInterner()
 	for _, body := range []string{`{"truncated`, `{"messages":[{"author":"x"`, ``, `{"messages":[]} extra`} {
 		if _, err := parseMessages([]byte(body), in); err == nil {
 			t.Errorf("parseMessages(%q) parsed without error", body)
 		}
-		if _, err := parseMembers([]byte(body), in); err == nil && body != `{"messages":[{"author":"x"` && body != `{"messages":[]} extra` {
+		if _, err := parseMembers([]byte(body), in); err == nil {
 			t.Errorf("parseMembers(%q) parsed without error", body)
 		}
 	}

@@ -265,6 +265,17 @@ func New(seed uint64) *Policy {
 	}
 }
 
+// AccountSeed hashes an account name (FNV-1a, 64-bit) into a jitter
+// seed, so each platform client's retries decorrelate by account.
+func AccountSeed(account string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(account); i++ {
+		h ^= uint64(account[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // Stats returns a snapshot of the counters.
 func (p *Policy) Stats() Stats {
 	return Stats{

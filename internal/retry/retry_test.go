@@ -3,6 +3,7 @@ package retry
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"testing"
 	"time"
@@ -317,5 +318,17 @@ func TestStatsCountAcrossCalls(t *testing.T) {
 	}
 	if s.Attempts != 8 {
 		t.Errorf("Attempts = %d, want 8", s.Attempts)
+	}
+}
+
+// TestAccountSeedIsFNV1a pins AccountSeed to 64-bit FNV-1a, the hash every
+// platform client has always seeded its retry jitter with.
+func TestAccountSeedIsFNV1a(t *testing.T) {
+	for _, account := range []string{"", "acct", "wa-0", "tg-12", "bot:collector", "dc-user-7"} {
+		h := fnv.New64a()
+		h.Write([]byte(account))
+		if got, want := AccountSeed(account), h.Sum64(); got != want {
+			t.Errorf("AccountSeed(%q) = %#x, want %#x", account, got, want)
+		}
 	}
 }

@@ -3,13 +3,13 @@ package store
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 
 	"msgscope/internal/checkpoint"
-	"msgscope/internal/jsonx"
 	"msgscope/internal/platform"
 )
 
@@ -101,23 +101,40 @@ func (st *groupStripe) fpLocked(row uint32) grpFP {
 	}
 }
 
+// ErrCorruptLog is wrapped by every LoadCheckpoint rejection: a log
+// shorter than its manifest prefix, an undecodable line, a record count
+// that disagrees with the manifest, or an event replay cannot apply.
+var ErrCorruptLog = errors.New("store: corrupt checkpoint log")
+
 // ckLog is one append log: a buffered file plus durable offset counters.
+// Its encoder writes through the log's own Write, so bytes counts exactly
+// what reaches the file.
 type ckLog struct {
 	f       *os.File
 	bw      *bufio.Writer
+	enc     *json.Encoder
 	bytes   int64
 	records int64
 	synced  int64 // bytes at last fsync
 }
 
-func (l *ckLog) appendLine(line []byte) error {
-	if _, err := l.bw.Write(line); err != nil {
+func newCkLog(f *os.File, st checkpoint.LogState) *ckLog {
+	l := &ckLog{f: f, bw: bufio.NewWriter(f), bytes: st.Bytes, records: st.Records, synced: st.Bytes}
+	l.enc = json.NewEncoder(l)
+	return l
+}
+
+func (l *ckLog) Write(p []byte) (int, error) {
+	n, err := l.bw.Write(p)
+	l.bytes += int64(n)
+	return n, err
+}
+
+// append encodes v as one line of the log.
+func (l *ckLog) append(v any) error {
+	if err := l.enc.Encode(v); err != nil {
 		return err
 	}
-	if err := l.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	l.bytes += int64(len(line)) + 1
 	l.records++
 	return nil
 }
@@ -177,7 +194,7 @@ func (s *Store) OpenCheckpointWriter(dir string) (*CheckpointWriter, error) {
 			w.Close()
 			return nil, err
 		}
-		w.logs[name] = &ckLog{f: f, bw: bufio.NewWriter(f)}
+		w.logs[name] = newCkLog(f, checkpoint.LogState{})
 	}
 	w.enableTracking()
 	if err := w.capture(false); err != nil {
@@ -210,7 +227,7 @@ func (s *Store) ResumeCheckpointWriter(dir string, logs map[string]checkpoint.Lo
 			w.Close()
 			return nil, err
 		}
-		w.logs[name] = &ckLog{f: f, bw: bufio.NewWriter(f), bytes: st.Bytes, records: st.Records, synced: st.Bytes}
+		w.logs[name] = newCkLog(f, st)
 	}
 	w.enableTracking()
 	if err := w.capture(false); err != nil {
@@ -273,17 +290,21 @@ func (w *CheckpointWriter) Checkpoint() (map[string]checkpoint.LogState, error) 
 // (the open/resume baseline).
 func (w *CheckpointWriter) capture(emit bool) error {
 	s := w.s
-	buf := jsonx.GetBuf()
-	defer jsonx.PutBuf(buf)
+	// One reused record per family: the encoder takes a pointer, so
+	// only the variable escapes, not every row.
+	var (
+		t TweetRecord
+		c ControlRecord
+		m MessageRecord
+	)
 
 	// Tweet-family logs (tweets, control, posts) under tweetMu.
 	s.tweetMu.Lock()
 	err := func() error {
 		if emit {
 			for i := s.ckTweetMark; i < s.tweets.len(); i++ {
-				t := s.tweets.at(i)
-				*buf = t.appendJSON((*buf)[:0])
-				if err := w.logs[logTweets].appendLine(*buf); err != nil {
+				t = s.tweets.at(i)
+				if err := w.logs[logTweets].append(&t); err != nil {
 					return err
 				}
 			}
@@ -295,25 +316,19 @@ func (w *CheckpointWriter) capture(emit bool) error {
 			}
 			slices.Sort(dirty)
 			for _, row := range dirty {
-				t := s.tweets.at(int(row))
-				*buf = t.appendJSON((*buf)[:0])
-				if err := w.logs[logTweets].appendLine(*buf); err != nil {
+				t = s.tweets.at(int(row))
+				if err := w.logs[logTweets].append(&t); err != nil {
 					return err
 				}
 			}
 			for i := w.ctlMark; i < s.control.len(); i++ {
-				c := s.control.at(i)
-				*buf = c.appendJSON((*buf)[:0])
-				if err := w.logs[logControl].appendLine(*buf); err != nil {
+				c = s.control.at(i)
+				if err := w.logs[logControl].append(&c); err != nil {
 					return err
 				}
 			}
 			for i := w.postMark; i < len(s.posts); i++ {
-				b, err := json.Marshal(&s.posts[i])
-				if err != nil {
-					return err
-				}
-				if err := w.logs[logPosts].appendLine(b); err != nil {
+				if err := w.logs[logPosts].append(&s.posts[i]); err != nil {
 					return err
 				}
 			}
@@ -333,9 +348,8 @@ func (w *CheckpointWriter) capture(emit bool) error {
 	err = func() error {
 		if emit {
 			for i := w.msgMark; i < s.msgs.len(); i++ {
-				m := s.msgs.at(i)
-				*buf = m.appendJSON((*buf)[:0])
-				if err := w.logs[logMessages].appendLine(*buf); err != nil {
+				m = s.msgs.at(i)
+				if err := w.logs[logMessages].append(&m); err != nil {
 					return err
 				}
 			}
@@ -382,13 +396,13 @@ func (w *CheckpointWriter) captureGroups(emit bool) error {
 					p, code := platform.Platform(st.plat[r]), st.tab.Lookup(st.code[r])
 					for i := next; i != 0; i = st.obs.nextAt(int(i - 1)) {
 						o := st.obs.recordAt(i-1, st.tab)
-						if err := w.appendEvent(events, &ckEvent{Kind: "obs", Plat: p, Code: code, Obs: &o}); err != nil {
+						if err := events.append(&ckEvent{Kind: "obs", Plat: p, Code: code, Obs: &o}); err != nil {
 							return err
 						}
 					}
 					if fp := st.fpLocked(r); isNew || fp != marks.fp[row] {
 						g := st.scalarsLocked(r)
-						if err := w.appendEvent(events, &ckEvent{Kind: "grp", Group: &g}); err != nil {
+						if err := events.append(&ckEvent{Kind: "grp", Group: &g}); err != nil {
 							return err
 						}
 					}
@@ -439,7 +453,7 @@ func (w *CheckpointWriter) captureUsers(emit bool) error {
 						Linked:    st.linked[row],
 						Creator:   st.creator[row],
 					}
-					if err := w.appendEvent(events, &ckEvent{Kind: "usr", User: &u}); err != nil {
+					if err := events.append(&ckEvent{Kind: "usr", User: &u}); err != nil {
 						return err
 					}
 				}
@@ -454,14 +468,6 @@ func (w *CheckpointWriter) captureUsers(emit bool) error {
 		}
 	}
 	return nil
-}
-
-func (w *CheckpointWriter) appendEvent(l *ckLog, e *ckEvent) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	return l.appendLine(b)
 }
 
 // Close flushes and closes the log files and disarms the store's dirty
@@ -501,28 +507,21 @@ func (w *CheckpointWriter) Close() error {
 // ingestion paths, so every derived index (dedup tables, group skeletons,
 // discovery bookkeeping, per-group series) is rebuilt as a side effect.
 func (s *Store) LoadCheckpoint(dir string, logs map[string]checkpoint.LogState) error {
-	prep := func(name string) (checkpoint.LogState, string, error) {
+	replay := func(name string, run func(path string) (int64, error)) error {
 		st, ok := logs[name]
 		if !ok {
-			return st, "", fmt.Errorf("store: manifest missing log state for %s", name)
+			return fmt.Errorf("%w: manifest missing log state for %s", ErrCorruptLog, name)
 		}
 		path := filepath.Join(dir, name)
 		if err := truncateLog(path, st.Bytes); err != nil {
-			return st, "", err
-		}
-		return st, path, nil
-	}
-	replay := func(name string, run func(path string) (int64, error)) error {
-		st, path, err := prep(name)
-		if err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrCorruptLog, err)
 		}
 		n, err := run(path)
 		if err != nil {
-			return fmt.Errorf("store: replaying %s: %w", name, err)
+			return fmt.Errorf("%w: replaying %s: %w", ErrCorruptLog, name, err)
 		}
 		if n != st.Records {
-			return fmt.Errorf("store: %s replayed %d records, manifest recorded %d", name, n, st.Records)
+			return fmt.Errorf("%w: %s replayed %d records, manifest recorded %d", ErrCorruptLog, name, n, st.Records)
 		}
 		return nil
 	}

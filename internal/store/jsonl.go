@@ -7,57 +7,29 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"msgscope/internal/jsonx"
 )
 
-// WriteJSONL writes one JSON document per line. Record types with a
-// hand-written jsonx codec (see codec.go) take the append-encoder path —
-// same bytes, no reflection; everything else goes through encoding/json.
+// WriteJSONL writes one JSON document per line through encoding/json.
 func WriteJSONL[T any](w io.Writer, items []T) error {
+	return writeJSONL(w, len(items), func(i int) any { return &items[i] })
+}
+
+// writeJSONL encodes n records, one per line, without materializing a
+// []T: rec returns a pointer to the i'th record, which Save's list views
+// reconstruct on demand into one reused variable.
+func writeJSONL(w io.Writer, n int, rec func(i int) any) error {
 	bw := bufio.NewWriter(w)
-	if _, ok := any((*T)(nil)).(jsonlCodec); ok {
-		buf := jsonx.GetBuf()
-		defer jsonx.PutBuf(buf)
-		for i := range items {
-			*buf = any(&items[i]).(jsonlCodec).appendJSON((*buf)[:0])
-			*buf = append(*buf, '\n')
-			if _, err := bw.Write(*buf); err != nil {
-				return fmt.Errorf("store: encoding line %d: %w", i, err)
-			}
-		}
-		return bw.Flush()
-	}
 	enc := json.NewEncoder(bw)
-	for i := range items {
-		if err := enc.Encode(items[i]); err != nil {
-			return fmt.Errorf("store: encoding line %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// writeJSONLView streams n records through their jsonx codec without
-// materializing a []T: enc is handed each index and the reusable buffer.
-// Used by Save for the columnar families, whose list views reconstruct
-// records on demand.
-func writeJSONLView(w io.Writer, n int, enc func(i int, dst []byte) []byte) error {
-	bw := bufio.NewWriter(w)
-	buf := jsonx.GetBuf()
-	defer jsonx.PutBuf(buf)
 	for i := 0; i < n; i++ {
-		*buf = enc(i, (*buf)[:0])
-		*buf = append(*buf, '\n')
-		if _, err := bw.Write(*buf); err != nil {
+		if err := enc.Encode(rec(i)); err != nil {
 			return fmt.Errorf("store: encoding line %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadJSONL reads newline-delimited JSON documents, using the streaming
-// jsonx parser for record types that carry a codec and encoding/json for
-// the rest. Unknown object keys are skipped on both paths.
+// ReadJSONL reads newline-delimited JSON documents. Unknown object keys
+// are skipped, so older binaries read newer files.
 func ReadJSONL[T any](r io.Reader) ([]T, error) {
 	var out []T
 	err := streamJSONL(r, make([]T, jsonlBatchSize), func(batch []T) error {
@@ -81,24 +53,13 @@ func streamJSONL[T any](r io.Reader, batch []T, flush func([]T) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line, k := 0, 0
-	_, fast := any((*T)(nil)).(jsonlCodec)
-	var dec jsonx.Dec
 	for sc.Scan() {
 		line++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var v T
-		var err error
-		if fast {
-			dec.Reset(sc.Bytes())
-			if err = any(&v).(jsonlCodec).parseJSON(&dec); err == nil {
-				err = dec.End()
-			}
-		} else {
-			err = json.Unmarshal(sc.Bytes(), &v)
-		}
-		if err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
 			return fmt.Errorf("store: decoding line %d: %w", line, err)
 		}
 		batch[k] = v
@@ -127,41 +88,34 @@ func (s *Store) Save(dir string) error {
 		return err
 	}
 	tweets := s.Tweets()
-	if err := saveView(filepath.Join(dir, "tweets.jsonl"), tweets.Len(), func(i int, dst []byte) []byte {
-		t := tweets.At(i)
-		return t.appendJSON(dst)
+	var t TweetRecord
+	if err := saveView(filepath.Join(dir, "tweets.jsonl"), tweets.Len(), func(i int) any {
+		t = tweets.At(i)
+		return &t
 	}); err != nil {
 		return err
 	}
 	control := s.Control()
-	if err := saveView(filepath.Join(dir, "control.jsonl"), control.Len(), func(i int, dst []byte) []byte {
-		c := control.At(i)
-		return c.appendJSON(dst)
+	var c ControlRecord
+	if err := saveView(filepath.Join(dir, "control.jsonl"), control.Len(), func(i int) any {
+		c = control.At(i)
+		return &c
 	}); err != nil {
 		return err
 	}
-	// Groups have no hand-written codec; each wire record is materialized
-	// from the columnar view and marshaled reflectively — the same
-	// encoding/json path (and bytes) the former []*GroupRecord took.
 	groups := s.Groups()
-	var groupErr error
-	if err := saveView(filepath.Join(dir, "groups.jsonl"), groups.Len(), func(i int, dst []byte) []byte {
-		rec := groups.Record(i)
-		b, err := json.Marshal(&rec)
-		if err != nil && groupErr == nil {
-			groupErr = err
-		}
-		return append(dst, b...)
+	var g GroupRecord
+	if err := saveView(filepath.Join(dir, "groups.jsonl"), groups.Len(), func(i int) any {
+		g = groups.Record(i)
+		return &g
 	}); err != nil {
 		return err
-	}
-	if groupErr != nil {
-		return fmt.Errorf("store: encoding groups.jsonl: %w", groupErr)
 	}
 	msgs := s.Messages()
-	if err := saveView(filepath.Join(dir, "messages.jsonl"), msgs.Len(), func(i int, dst []byte) []byte {
-		m := msgs.At(i)
-		return m.appendJSON(dst)
+	var m MessageRecord
+	if err := saveView(filepath.Join(dir, "messages.jsonl"), msgs.Len(), func(i int) any {
+		m = msgs.At(i)
+		return &m
 	}); err != nil {
 		return err
 	}
@@ -180,9 +134,9 @@ func saveFile[T any](path string, items []T) error {
 	})
 }
 
-func saveView(path string, n int, enc func(i int, dst []byte) []byte) error {
+func saveView(path string, n int, rec func(i int) any) error {
 	return saveAtomic(path, func(f *os.File) error {
-		return writeJSONLView(f, n, enc)
+		return writeJSONL(f, n, rec)
 	})
 }
 
@@ -232,9 +186,9 @@ func (s *Store) loadStreaming(dir string) error {
 	}
 	// Group records carry derived fields (observations, join data), so
 	// they replace the skeletons AddTweetBatch built.
-	err = loadFileStream(filepath.Join(dir, "groups.jsonl"), make([]*GroupRecord, jsonlBatchSize), func(batch []*GroupRecord) error {
-		for _, g := range batch {
-			s.groups.put(g)
+	err = loadFileStream(filepath.Join(dir, "groups.jsonl"), make([]GroupRecord, jsonlBatchSize), func(batch []GroupRecord) error {
+		for i := range batch {
+			s.groups.put(&batch[i])
 		}
 		return nil
 	})
