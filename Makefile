@@ -25,7 +25,9 @@ bench:
 # sweep, LDA fit + K×vocab kernel sweep, cold figure aggregation, columnar
 # ingest; serial vs parallel where both exist, plus the checkpointed study
 # variant whose delta over plain parallel is the cost of
-# crash-resumability) rendered to BENCH_10.json, including the derived
+# crash-resumability) rendered to the next BENCH_<n>.json (earlier
+# baselines are kept: bench-compare picks the newest one recorded on the
+# host it runs on), including the derived
 # speedups, custom metrics (ns/rec, liveB/rec, tok/s, and the spill
 # benchmark's peakRSS-MB / heapLive-MB / segDisk-MB) and the machine's
 # core count. benchjson's -cpus mode runs the suite under each GOMAXPROCS
@@ -38,18 +40,22 @@ BENCH_PKGS = ./internal/core ./internal/analysis/lda ./internal/store
 BENCH_CPUS = 1,2
 
 bench-json:
+	@n=$$(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -1); \
+	out=BENCH_$$(($${n:-0} + 1)).json; \
 	$(GO) run ./cmd/benchjson -cpus '$(BENCH_CPUS)' -bench '$(BENCH_PATTERN)' \
-		-count 3 -o BENCH_10.json $(BENCH_PKGS)
-	@cat BENCH_10.json
+		-count 3 -o $$out $(BENCH_PKGS) && cat $$out
 
-# Allocation-regression gate: rerun the pipeline benchmarks and diff them
-# against the newest checked-in BENCH_*.json, failing on >20% growth in
-# ns/op, allocs/op or a custom metric (ns/rec, liveB/rec). Allocation
-# counts and live bytes are deterministic; ns/op on a loaded machine is
-# not, hence the tolerance.
+# Regression gate: rerun the pipeline benchmarks under the same GOMAXPROCS
+# matrix and repetition count as bench-json, and diff them against the
+# newest checked-in BENCH_*.json recorded on this host (same CPU model,
+# core count and matrix; with none, it fails and says to run
+# `make bench-json`), failing on >20% growth in ns/op, allocs/op or a
+# custom metric (ns/rec, liveB/rec). Allocation counts and live bytes are
+# deterministic at a fixed GOMAXPROCS; ns/op on a loaded machine is not,
+# hence the tolerance and the fastest-of-3 rows on both sides.
 bench-compare:
-	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson -compare .
+	$(GO) run ./cmd/benchjson -cpus '$(BENCH_CPUS)' -bench '$(BENCH_PATTERN)' \
+		-count 3 -compare . $(BENCH_PKGS)
 
 # Capture CPU + allocation profiles and an execution trace of one scaled
 # study run. Read them with `go tool pprof cpu.pprof` (top, list <func>,

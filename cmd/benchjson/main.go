@@ -16,16 +16,20 @@
 // recorded — the min over repetitions is the noise floor, which keeps
 // recorded baselines comparable across runs on a shared host.
 //
-// With -compare, the fresh run is additionally diffed against the newest
-// checked-in BENCH_*.json and the command exits non-zero when any
-// benchmark regressed by more than the tolerance in ns/op, allocs/op or a
-// shared custom metric — the allocation-regression gate `make ci` runs.
+// With -compare DIR, the fresh run is additionally diffed against the
+// newest BENCH_*.json in DIR recorded on the same host — same CPU model,
+// core count and GOMAXPROCS matrix, since timings and the allocation
+// counts of parallel code mean nothing across hosts — and the command
+// exits non-zero when any benchmark regressed by more than the tolerance
+// in ns/op, allocs/op or a shared custom metric: the regression gate
+// `make ci` runs. When no baseline matches, it fails and says to record
+// one with `make bench-json`.
 //
 // Usage:
 //
 //	go test ./internal/core -run '^$' -bench 'StudyRun' -benchmem | benchjson -o BENCH.json
-//	go test ./internal/core -run '^$' -bench 'StudyRun' -benchmem | benchjson -compare .
 //	benchjson -cpus 1,4,8 -bench 'StudyRun|StoreIngest' -o BENCH.json ./internal/core ./internal/store
+//	benchjson -cpus 1,4,8 -bench 'StudyRun|StoreIngest' -compare . ./internal/core ./internal/store
 package main
 
 import (
@@ -34,11 +38,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,7 +86,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.String("compare", "", "baseline BENCH_*.json file, or a directory holding them (the highest-numbered one is used); exits non-zero on regression")
+	compare := flag.String("compare", "", "baseline BENCH_*.json file, or a directory holding them (the highest-numbered one recorded on this host is used); exits non-zero on regression")
 	tol := flag.Float64("tol", 0.20, "allowed fractional regression in ns/op, allocs/op and custom metrics before -compare fails")
 	cpus := flag.String("cpus", "", "comma-separated GOMAXPROCS list (e.g. 1,4,8): run the benchmarks under each count instead of reading stdin; positional args name the packages")
 	benchPat := flag.String("bench", "", "benchmark pattern for -cpus mode (required with -cpus)")
@@ -124,14 +130,10 @@ func main() {
 	}
 
 	if *compare != "" {
-		path, err := resolveBaseline(*compare)
+		path, base, err := resolveBaseline(*compare, doc.host())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		base, err := loadDocument(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			files.Stop()
 			os.Exit(1)
 		}
 		regs := regressions(base.Benchmarks, doc.Benchmarks, *tol)
@@ -280,37 +282,57 @@ func bestOf(bs []benchmark) []benchmark {
 	return out
 }
 
-// resolveBaseline maps the -compare argument to a concrete baseline file:
-// a file path is used as-is; a directory is searched for BENCH_*.json and
-// the highest-numbered one wins (the newest checked-in baseline).
-func resolveBaseline(arg string) (string, error) {
+// host is the fingerprint a baseline must share with a fresh run to be
+// comparable: ns/op depends on the CPU model and core count, and the
+// allocation counts of parallel fan-outs on GOMAXPROCS.
+type host struct {
+	CPU       string
+	Cores     int
+	CPUMatrix []int
+}
+
+func (d document) host() host { return host{CPU: d.CPU, Cores: d.Cores, CPUMatrix: d.CPUMatrix} }
+
+func (h host) String() string {
+	return fmt.Sprintf("cpu %q, cores %d, cpu_matrix %v", h.CPU, h.Cores, h.CPUMatrix)
+}
+
+// resolveBaseline maps the -compare argument to a baseline document: a
+// file path is used as-is; a directory is searched for BENCH_<n>.json and
+// the highest-numbered one whose fingerprint matches h wins (the newest
+// baseline recorded on this host).
+func resolveBaseline(arg string, h host) (string, document, error) {
 	fi, err := os.Stat(arg)
 	if err != nil {
-		return "", err
+		return "", document{}, err
 	}
 	if !fi.IsDir() {
-		return arg, nil
+		doc, err := loadDocument(arg)
+		return arg, doc, err
 	}
 	matches, err := filepath.Glob(filepath.Join(arg, "BENCH_*.json"))
 	if err != nil {
-		return "", err
+		return "", document{}, err
 	}
-	best, bestN := "", -1
+	nums := map[string]int{}
 	for _, m := range matches {
-		name := filepath.Base(m)
-		numStr := strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_"), ".json")
-		n, err := strconv.Atoi(numStr)
+		numStr := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(m), "BENCH_"), ".json")
+		if n, err := strconv.Atoi(numStr); err == nil {
+			nums[m] = n
+		}
+	}
+	paths := slices.Collect(maps.Keys(nums))
+	slices.SortFunc(paths, func(a, b string) int { return nums[b] - nums[a] })
+	for _, p := range paths {
+		doc, err := loadDocument(p)
 		if err != nil {
-			continue
+			return "", document{}, err
 		}
-		if n > bestN {
-			best, bestN = m, n
+		if dh := doc.host(); dh.CPU == h.CPU && dh.Cores == h.Cores && slices.Equal(dh.CPUMatrix, h.CPUMatrix) {
+			return p, doc, nil
 		}
 	}
-	if best == "" {
-		return "", fmt.Errorf("no BENCH_<n>.json baseline found in %s", arg)
-	}
-	return best, nil
+	return "", document{}, fmt.Errorf("no BENCH_<n>.json in %s was recorded on this host (%s); record one with `make bench-json`", arg, h)
 }
 
 func loadDocument(path string) (document, error) {

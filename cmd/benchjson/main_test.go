@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -199,13 +200,27 @@ func TestRegressionsGateThroughputMetrics(t *testing.T) {
 }
 
 func TestResolveBaselinePicksNewest(t *testing.T) {
+	here := host{CPU: "Example CPU", Cores: 2, CPUMatrix: []int{1, 2}}
 	dir := t.TempDir()
-	for _, name := range []string{"BENCH_2.json", "BENCH_10.json", "BENCH_x.json", "other.json"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+	write := func(name string, h host) {
+		doc := document{CPU: h.CPU, Cores: h.Cores, CPUMatrix: h.CPUMatrix}
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := resolveBaseline(dir)
+	write("BENCH_2.json", here)
+	write("BENCH_10.json", here)
+	// Newer, but from hosts that differ in one field each.
+	write("BENCH_11.json", host{CPU: here.CPU, Cores: 1, CPUMatrix: here.CPUMatrix})
+	write("BENCH_12.json", host{CPU: "Other CPU", Cores: 2, CPUMatrix: here.CPUMatrix})
+	write("BENCH_13.json", host{CPU: here.CPU, Cores: 2, CPUMatrix: []int{1}})
+	write("BENCH_x.json", here)
+	write("other.json", here)
+	got, _, err := resolveBaseline(dir, here)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +229,17 @@ func TestResolveBaselinePicksNewest(t *testing.T) {
 	}
 
 	// A direct file path is used as-is.
-	file := filepath.Join(dir, "BENCH_2.json")
-	if got, err := resolveBaseline(file); err != nil || got != file {
-		t.Errorf("resolveBaseline(file) = %q, %v", got, err)
+	file := filepath.Join(dir, "BENCH_12.json")
+	if got, doc, err := resolveBaseline(file, here); err != nil || got != file || doc.CPU != "Other CPU" {
+		t.Errorf("resolveBaseline(file) = %q, %q, %v", got, doc.CPU, err)
 	}
 
-	if _, err := resolveBaseline(t.TempDir()); err == nil {
+	// No baseline from this host: fail, and say how to record one.
+	_, _, err = resolveBaseline(dir, host{CPU: "New CPU", Cores: 2, CPUMatrix: []int{1, 2}})
+	if err == nil || !strings.Contains(err.Error(), "make bench-json") {
+		t.Errorf("no matching baseline: err = %v, want one naming make bench-json", err)
+	}
+	if _, _, err := resolveBaseline(t.TempDir(), here); err == nil {
 		t.Error("empty directory accepted as baseline source")
 	}
 }

@@ -99,32 +99,10 @@ type AccountState struct {
 	Joined             []AccountJoin `json:"joined,omitempty"`
 }
 
-// SpillSegment pins one sealed column-segment file (internal/store
-// segment format) by name within the spill directory.
-type SpillSegment struct {
-	Name  string `json:"name"`
-	Rows  int64  `json:"rows"`
-	Bytes int64  `json:"bytes"`
-}
-
-// SpillFamily pins one record family's sealed prefix: the first Rows rows
-// live in Segments, in order.
-type SpillFamily struct {
-	Rows     int64          `json:"rows"`
-	Segments []SpillSegment `json:"segments"`
-}
-
-// SpillState pins the store's spill tier at a checkpoint, so a resume
-// re-maps the sealed segments instead of re-ingesting their rows. Only the
-// append-only families appear here; observation segments are rebuilt from
-// the event log (see internal/store DESIGN.md §16).
-type SpillState struct {
-	Budget   int64                  `json:"budget"`
-	Families map[string]SpillFamily `json:"families,omitempty"`
-}
-
 // Manifest is one checkpoint: everything a resume needs beyond the record
-// logs themselves.
+// logs themselves. It names no spill segment, since segments are per-run
+// scratch; a manifest from a build that pinned them carries a "spill"
+// key, which decoding ignores, and resumes by replaying its logs.
 type Manifest struct {
 	Version     int    `json:"version"`
 	OptionsHash string `json:"options_hash"`
@@ -150,10 +128,6 @@ type Manifest struct {
 
 	// Logs pins each record log's durable prefix by file name.
 	Logs map[string]LogState `json:"logs"`
-
-	// Spill pins the store's sealed column segments (nil when the run has
-	// no memory budget; omitted so pre-spill manifests decode unchanged).
-	Spill *SpillState `json:"spill,omitempty"`
 
 	Collector    CollectorState   `json:"collector"`
 	MonitorStats map[string]int64 `json:"monitor_stats"`

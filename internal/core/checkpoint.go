@@ -26,16 +26,13 @@ func (s *Study) hook(day int, step string) error {
 	return s.Cfg.StepHook(day, step)
 }
 
-// checkpoint makes the boundary (day, step) durable — log deltas first,
-// then the manifest naming their new offsets — and runs the step hook. A
-// crash between the two leaves the previous manifest pointing at a valid
-// log prefix; the extra appended records are truncated away on resume.
+// checkpoint enforces the memory budget at the boundary (day, step), makes
+// it durable — log deltas first, then the manifest naming their new
+// offsets — and runs the step hook. A crash between the two leaves the
+// previous manifest pointing at a valid log prefix; the extra appended
+// records are truncated away on resume. Spill segments play no part: they
+// are per-run scratch, and a resume re-seals from the logs.
 func (s *Study) checkpoint(day int, step string) error {
-	// Seal before capture: the capture below writes every present row into
-	// the logs, so any segment sealed by now — here or at an earlier hourly
-	// check — holds only rows the manifest's log prefixes also carry. That
-	// is what lets a resume re-map pinned segments and skip (or
-	// idempotently re-merge) their rows during replay.
 	if err := s.Store.SpillCheck(); err != nil {
 		return fmt.Errorf("core: spill check %s day %d: %w", step, day, err)
 	}
@@ -65,7 +62,6 @@ func (s *Study) manifest(day int, step string, logs map[string]checkpoint.LogSta
 		ClockUnixNano:         s.Clock.Now().UnixNano(),
 		PublishedUpToUnixNano: s.pubHorizon.UnixNano(),
 		Logs:                  logs,
-		Spill:                 s.Store.SpillManifest(),
 		Collector:             s.collector.State(),
 		MonitorStats:          s.monitor.StatsMap(),
 		Joiner:                s.joiner.State(),
@@ -158,18 +154,10 @@ func (s *Study) restore(dir string, m *checkpoint.Manifest) error {
 		ReqSeq:       m.Twitter.ReqSeq,
 	})
 
-	// Re-map the manifest's pinned segments first (deleting orphans a crash
-	// left behind), so the log replay below finds the sealed prefixes in
-	// place: the control and message logs skip exactly the sealed rows, and
-	// the tweet log's sealed rows land on the idempotent duplicate path.
-	if spCfg, ok := s.Store.SpillConfigured(); ok {
-		if err := s.Store.RestoreSpill(spCfg, m.Spill); err != nil {
-			return err
-		}
-	}
 	// Replay the record logs into the store (truncating any post-crash
-	// tail), then reopen the checkpoint writer so its incremental marks
-	// baseline against the replayed state.
+	// tail; a budgeted store re-seals as it goes), then reopen the
+	// checkpoint writer so its incremental marks baseline against the
+	// replayed state.
 	if err := s.Store.LoadCheckpoint(dir, m.Logs); err != nil {
 		return err
 	}

@@ -109,8 +109,8 @@ type Config struct {
 	// without a budget — only the storage tier of cold rows changes.
 	MemBudget int64
 	// SpillDir overrides where segment files live. Empty means
-	// CheckpointDir/segments for a checkpointed run (segments and manifest
-	// share a filesystem and crash story), else a fresh temp directory.
+	// CheckpointDir/segments for a checkpointed run, else a fresh temp
+	// directory. Segments are per-run scratch: every start clears them.
 	SpillDir string
 	// OptionsHash fingerprints the caller's determinism-relevant options;
 	// it is stored in the manifest and must match on resume.
@@ -168,9 +168,8 @@ func scaleTarget(full int, scale float64) int {
 }
 
 // spillDir resolves where a budgeted run's segment files live: the explicit
-// override, the checkpoint directory (so segments and manifest share a
-// filesystem and crash story), or a fresh temp directory for an
-// uncheckpointed run.
+// override, a directory under the checkpoint directory, or a fresh temp
+// directory for an uncheckpointed run.
 func spillDir(cfg Config) (string, error) {
 	if cfg.SpillDir != "" {
 		return cfg.SpillDir, nil
@@ -373,24 +372,17 @@ func (s *Study) Run(ctx context.Context) error {
 	startDay, skip := 0, ""
 	switch s.resumeStep {
 	case "", "init":
-		// Fresh run (or a resume from the pre-day-zero checkpoint): clear
-		// any previous run's segment files, then open the checkpoint writer
-		// and make the empty state durable, so a kill at any later point has
-		// a boundary to resume from. A resume never resets the spill dir —
-		// restore already re-mapped the manifest's pinned segments from it.
-		if s.resumeStep == "" {
-			if err := s.Store.ResetSpillDir(); err != nil {
-				return fmt.Errorf("core: resetting spill dir: %w", err)
+		// Fresh run (or a resume from the pre-day-zero checkpoint): open the
+		// checkpoint writer and make the empty state durable, so a kill at
+		// any later point has a boundary to resume from.
+		if s.resumeStep == "" && s.Cfg.CheckpointDir != "" {
+			w, err := s.Store.OpenCheckpointWriter(s.Cfg.CheckpointDir)
+			if err != nil {
+				return fmt.Errorf("core: opening checkpoint: %w", err)
 			}
-			if s.Cfg.CheckpointDir != "" {
-				w, err := s.Store.OpenCheckpointWriter(s.Cfg.CheckpointDir)
-				if err != nil {
-					return fmt.Errorf("core: opening checkpoint: %w", err)
-				}
-				s.ckpt = w
-				if err := s.checkpoint(0, "init"); err != nil {
-					return err
-				}
+			s.ckpt = w
+			if err := s.checkpoint(0, "init"); err != nil {
+				return err
 			}
 		}
 	case "drain", "monitor":

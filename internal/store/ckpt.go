@@ -506,7 +506,19 @@ func (w *CheckpointWriter) Close() error {
 // verified against the manifest's count. Replay goes through the live
 // ingestion paths, so every derived index (dedup tables, group skeletons,
 // discovery bookkeeping, per-group series) is rebuilt as a side effect.
+//
+// The logs are the only durable state: a store with a spill budget
+// re-seals as it replays — SpillCheck runs after every tweet, control and
+// event batch, and messages seal themselves during ingest — so a resume
+// stays within the budget the live run kept.
 func (s *Store) LoadCheckpoint(dir string, logs map[string]checkpoint.LogState) error {
+	// A failed seal is an I/O error, not log corruption: keep it apart
+	// from the ErrCorruptLog wrapping below.
+	var sealErr error
+	spillCheck := func() error {
+		sealErr = s.SpillCheck()
+		return sealErr
+	}
 	replay := func(name string, run func(path string) (int64, error)) error {
 		st, ok := logs[name]
 		if !ok {
@@ -517,6 +529,9 @@ func (s *Store) LoadCheckpoint(dir string, logs map[string]checkpoint.LogState) 
 			return fmt.Errorf("%w: %w", ErrCorruptLog, err)
 		}
 		n, err := run(path)
+		if sealErr != nil {
+			return fmt.Errorf("store: spilling while replaying %s: %w", name, sealErr)
+		}
 		if err != nil {
 			return fmt.Errorf("%w: replaying %s: %w", ErrCorruptLog, name, err)
 		}
@@ -535,28 +550,18 @@ func (s *Store) LoadCheckpoint(dir string, logs map[string]checkpoint.LogState) 
 			}
 			s.AddTweetBatch(ingest[:len(batch)])
 			n += int64(len(batch))
-			return nil
+			return spillCheck()
 		})
 		return n, err
 	}); err != nil {
 		return err
 	}
-	// Control and message rows restored from pinned segments (RestoreSpill)
-	// occupy the first `frozen` rows of their families and are exactly the
-	// first `frozen` log records: both families are plain appends with no
-	// dedup and no cross-checkpoint re-emission, so log order equals row
-	// order. Skip that prefix instead of re-appending it. The skipped
-	// records still count toward the manifest's record total.
-	ctlSkip := int64(s.control.frozen)
 	if err := replay(logControl, func(path string) (int64, error) {
 		var n int64
 		err := loadFileStream(path, make([]ControlRecord, jsonlBatchSize), func(batch []ControlRecord) error {
-			b := skipPrefix(batch, &n, ctlSkip)
-			if len(b) > 0 {
-				s.AddControlBatch(b)
-			}
-			n += int64(len(b))
-			return nil
+			s.AddControlBatch(batch)
+			n += int64(len(batch))
+			return spillCheck()
 		})
 		return n, err
 	}); err != nil {
@@ -578,15 +583,11 @@ func (s *Store) LoadCheckpoint(dir string, logs map[string]checkpoint.LogState) 
 	}); err != nil {
 		return err
 	}
-	msgSkip := int64(s.msgs.frozen)
 	if err := replay(logMessages, func(path string) (int64, error) {
 		var n int64
 		err := loadFileStream(path, make([]MessageRecord, jsonlBatchSize), func(batch []MessageRecord) error {
-			b := skipPrefix(batch, &n, msgSkip)
-			if len(b) > 0 {
-				s.AddMessageBatch(b)
-			}
-			n += int64(len(b))
+			s.AddMessageBatch(batch)
+			n += int64(len(batch))
 			return nil
 		})
 		return n, err
@@ -602,26 +603,10 @@ func (s *Store) LoadCheckpoint(dir string, logs map[string]checkpoint.LogState) 
 				}
 			}
 			n += int64(len(batch))
-			return nil
+			return spillCheck()
 		})
 		return n, err
 	})
-}
-
-// skipPrefix trims the leading records of one replay batch that fall
-// inside the already-restored prefix [0, skip), advancing *n past the
-// trimmed records so the caller's total still counts them.
-func skipPrefix[T any](batch []T, n *int64, skip int64) []T {
-	if *n >= skip {
-		return batch
-	}
-	drop := skip - *n
-	if drop >= int64(len(batch)) {
-		*n += int64(len(batch))
-		return nil
-	}
-	*n = skip
-	return batch[drop:]
 }
 
 // applyEvent replays one keyed-family delta.

@@ -242,15 +242,15 @@ func (c *tweetCols) at(i int) TweetRecord {
 	f := s.flags[j]
 	return TweetRecord{
 		ID:        s.ids[j],
-		UserID:    s.users.str(s.user[j]),
+		UserID:    c.userTab.Lookup(s.user[j]),
 		CreatedAt: nanoToTime(s.created[j]),
-		Lang:      s.langs.str(s.lang[j]),
+		Lang:      c.langTab.Lookup(s.lang[j]),
 		Hashtags:  int(s.hashtags[j]),
 		Mentions:  int(s.mentions[j]),
 		Retweet:   f&flagRetweet != 0,
 		Text:      s.text(j),
 		Platform:  platform.Platform(s.plat[j]),
-		GroupCode: s.groups.str(s.group[j]),
+		GroupCode: c.groupTab.Lookup(s.group[j]),
 		Source:    TweetSource(f & flagSourceMask),
 	}
 }
@@ -278,13 +278,12 @@ func (c *tweetCols) userHandle(i int) uint32 {
 		return c.user[i-c.frozen]
 	}
 	s, j := c.seg(i)
-	return s.userMap[s.user[j]]
+	return s.user[j]
 }
 
 // orFlags merges bits into row i's flags, reporting whether they changed.
-// Frozen rows mutate their private (copy-on-write) mapping — the file is
-// untouched, which is why segments pinned by a checkpoint stay valid: a
-// resume re-merges from the replayed log instead.
+// Frozen rows mutate their private (copy-on-write) mapping; the file is
+// never re-read, so it needs no update.
 func (c *tweetCols) orFlags(i int, bits uint8) bool {
 	if i >= c.frozen {
 		j := i - c.frozen
@@ -383,9 +382,9 @@ func (c *controlCols) at(i int) ControlRecord {
 	s, j := c.seg(i)
 	return ControlRecord{
 		ID:        s.ids[j],
-		UserID:    s.users.str(s.user[j]),
+		UserID:    c.userTab.Lookup(s.user[j]),
 		CreatedAt: nanoToTime(s.created[j]),
-		Lang:      s.langs.str(s.lang[j]),
+		Lang:      c.langTab.Lookup(s.lang[j]),
 		Hashtags:  int(s.hashtags[j]),
 		Mentions:  int(s.mentions[j]),
 		Retweet:   s.flags[j]&flagRetweet != 0,
@@ -461,7 +460,7 @@ func (c *msgCols) at(i int) MessageRecord {
 	s, j := c.seg(i)
 	return MessageRecord{
 		Platform:  platform.Platform(s.plat[j]),
-		GroupCode: s.groups.str(s.group[j]),
+		GroupCode: c.groupTab.Lookup(s.group[j]),
 		AuthorKey: s.author[j],
 		SentAt:    nanoToTime(s.sent[j]),
 		Type:      platform.MessageType(s.typ[j]),

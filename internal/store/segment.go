@@ -7,23 +7,23 @@ package store
 // written contiguously as raw slice memory:
 //
 //	[8]   magic "MSGSEG01"
-//	[...] sections, each 8-byte aligned: one column (or dictionary part)
-//	      dumped as native-endian memory
+//	[...] sections, each 8-byte aligned: one column dumped as
+//	      native-endian memory
 //	[...] JSON footer (segFooter): family, row count, section directory
 //	[24]  trailer: footerOff u64 | footerLen u64 | crc32(footer) u32 | "MSEG"
 //
 // Readers locate the footer from the fixed-size trailer, then bind each
 // section as a typed slice pointing straight into the mapping — no decode
-// step, no per-row allocation. Because columns are raw memory, segment
-// files are only portable across processes of the same GOARCH; that is
-// fine for a spill tier whose files never outlive the checkpoint directory
-// that pins them.
+// step, no per-row allocation.
 //
-// String columns are segment-local: handle columns index a per-segment
-// dictionary (a prefix-offset column plus a contiguous blob), so a segment
-// is self-contained and can be re-mapped by a resumed process whose live
-// interning tables assign different handles. unsafe.String views into the
-// blob serve reads zero-copy, exactly as the textArena does for hot rows.
+// Segments are per-run scratch: only the process that sealed a file ever
+// maps it, and every start (fresh or resumed) clears the spill directory
+// (EnableSpill). That is what lets interned-string columns store the live
+// ids.Table handles the heap columns hold — handles are stable for a
+// table's lifetime — so a frozen row resolves through the same tab.Lookup
+// as a hot one. Free text (tweet and message bodies) is stored as a
+// prefix-offset column over a contiguous blob, read through unsafe.String
+// views exactly as the textArena serves hot rows.
 
 import (
 	"bufio"
@@ -273,92 +273,11 @@ func openSegFile(path, family string) (*segFile, error) {
 
 func (f *segFile) sec(name string) []byte { return f.sect[name] }
 
-// segStrs is a segment-local string dictionary: dense handles index a
-// prefix-offset column over a contiguous blob, both mmap-backed.
-type segStrs struct {
-	off  []uint64 // len = entries+1
-	blob []byte
-}
-
-func (d segStrs) count() int {
-	if len(d.off) == 0 {
-		return 0
-	}
-	return len(d.off) - 1
-}
-
-func (d segStrs) str(h uint32) string {
-	lo, hi := d.off[h], d.off[h+1]
-	if lo == hi {
-		return ""
-	}
-	return unsafe.String(&d.blob[lo], int(hi-lo))
-}
-
-// remap interns every dictionary string into tab and returns the
-// local-handle → live-handle map, used on resume when the live tables'
-// numbering no longer matches the one the segment was sealed under. The
-// caller holds whatever lock guards writes to tab.
-func (d segStrs) remap(tab *ids.Table) []uint32 {
-	m := make([]uint32, d.count())
-	for i := range m {
-		m[i] = tab.Handle(d.str(uint32(i)))
-	}
-	return m
-}
-
-// bindStrs binds dictionary name and validates its offset column: a
-// dictionary always has at least the leading 0 offset, so an empty or
-// missing column is corruption too.
-func bindStrs(c *segCheck, name string) segStrs {
-	d := segStrs{off: castSlice[uint64](c.f.sec(name + ".off")), blob: c.f.sec(name + ".blob")}
-	if len(d.off) == 0 {
-		c.fail(name+".off", "is empty")
-	}
-	c.offsets(name+".off", d.off, d.blob)
-	return d
-}
-
-// dictBuilder assigns segment-local handles in first-use order while a
-// seal walks a live handle column.
-type dictBuilder struct {
-	tab     *ids.Table
-	localOf []uint32 // live handle -> local+1 (0 = unseen)
-	globals []uint32 // local -> live handle
-}
-
-func newDictBuilder(tab *ids.Table) *dictBuilder {
-	return &dictBuilder{tab: tab, localOf: make([]uint32, tab.Len())}
-}
-
-func (d *dictBuilder) local(h uint32) uint32 {
-	if v := d.localOf[h]; v != 0 {
-		return v - 1
-	}
-	l := uint32(len(d.globals))
-	d.globals = append(d.globals, h)
-	d.localOf[h] = l + 1
-	return l
-}
-
-func (d *dictBuilder) writeTo(w *segWriter, name string) {
-	off := make([]uint64, len(d.globals)+1)
-	for i, h := range d.globals {
-		off[i+1] = off[i] + uint64(len(d.tab.Lookup(h)))
-	}
-	w.section(name+".off", castBytes(off))
-	w.begin(name + ".blob")
-	for _, h := range d.globals {
-		w.writeString(d.tab.Lookup(h))
-	}
-	w.end()
-}
-
 // segCheck accumulates validation when binding a segment: column lengths
 // against the footer's row count, and column values wherever a bad one
-// would send a read outside the mapping — prefix offsets into a blob and
-// handles into a dictionary. The first violation wins; later checks are
-// no-ops.
+// would send a read outside the mapping or a live table — prefix offsets
+// into a blob, handles into an interning table, and observation chain
+// links. The first violation wins; later checks are no-ops.
 type segCheck struct {
 	f   *segFile
 	err error
@@ -398,15 +317,30 @@ func (c *segCheck) offsets(name string, off []uint64, blob []byte) {
 	}
 }
 
-// handles checks that every entry of a handle column indexes dict.
-func (c *segCheck) handles(name string, col []uint32, dict segStrs) {
+// handles checks that every entry of a handle column names an entry of
+// the live table tab.
+func (c *segCheck) handles(name string, col []uint32, tab *ids.Table) {
 	if c.err != nil {
 		return
 	}
-	n := uint32(dict.count())
+	n := uint32(tab.Len())
 	for i, h := range col {
 		if h >= n {
-			c.fail(name, "row %d: handle %d outside its %d-entry dictionary", i, h, n)
+			c.fail(name, "row %d: handle %d outside its %d-entry table", i, h, n)
+			return
+		}
+	}
+}
+
+// links checks that every observation chain link is 0 (end of chain) or
+// names a row (link-1) below end, the global row past the segment.
+func (c *segCheck) links(name string, next []uint32, end int) {
+	if c.err != nil {
+		return
+	}
+	for i, v := range next {
+		if int64(v) > int64(end) {
+			c.fail(name, "row %d: link %d past the segment's end row %d", i, v, end)
 			return
 		}
 	}
@@ -415,26 +349,18 @@ func (c *segCheck) handles(name string, col []uint32, dict segStrs) {
 // tweetSeg serves one sealed run of tweet rows [start, start+n).
 type tweetSeg struct {
 	start, n int
-	file     *segFile
 
 	ids      []uint64
-	user     []uint32 // handle into users
+	user     []uint32 // userTab handle
 	created  []int64
-	lang     []uint32 // handle into langs
+	lang     []uint32 // langTab handle
 	hashtags []int32
 	mentions []int32
 	flags    []uint8 // COW-mutable: late source-bit merges land here
 	plat     []uint8
-	group    []uint32 // handle into groups
+	group    []uint32 // groupTab handle
 	textOff  []uint64 // n+1 prefix offsets into textBlob
 	textBlob []byte
-
-	users, langs, groups segStrs
-
-	// Local handle → live-table handle, heap-resident: identity joins
-	// (distinct-user counts) need frozen and hot rows to agree on one
-	// handle space.
-	userMap, langMap, groupMap []uint32
 }
 
 func (s *tweetSeg) text(j int) string {
@@ -445,10 +371,12 @@ func (s *tweetSeg) text(j int) string {
 	return unsafe.String(&s.textBlob[lo], int(hi-lo))
 }
 
-func bindTweetSeg(f *segFile, start int) (tweetSeg, error) {
+// bindTweetSeg binds f's tweet rows [start, start+n), validating its
+// handle columns against c's live tables.
+func bindTweetSeg(f *segFile, start int, c *tweetCols) (tweetSeg, error) {
 	n := int(f.foot.Rows)
 	s := tweetSeg{
-		start: start, n: n, file: f,
+		start: start, n: n,
 		ids:      castSlice[uint64](f.sec("ids")),
 		user:     castSlice[uint32](f.sec("user")),
 		created:  castSlice[int64](f.sec("created")),
@@ -461,31 +389,27 @@ func bindTweetSeg(f *segFile, start int) (tweetSeg, error) {
 		textOff:  castSlice[uint64](f.sec("text.off")),
 		textBlob: f.sec("text.blob"),
 	}
-	c := segCheck{f: f}
-	s.users = bindStrs(&c, "users")
-	s.langs = bindStrs(&c, "langs")
-	s.groups = bindStrs(&c, "groups")
-	c.want("ids", len(s.ids), n)
-	c.want("user", len(s.user), n)
-	c.want("created", len(s.created), n)
-	c.want("lang", len(s.lang), n)
-	c.want("hashtags", len(s.hashtags), n)
-	c.want("mentions", len(s.mentions), n)
-	c.want("flags", len(s.flags), n)
-	c.want("plat", len(s.plat), n)
-	c.want("group", len(s.group), n)
-	c.want("text.off", len(s.textOff), n+1)
-	c.offsets("text.off", s.textOff, s.textBlob)
-	c.handles("user", s.user, s.users)
-	c.handles("lang", s.lang, s.langs)
-	c.handles("group", s.group, s.groups)
-	return s, c.err
+	k := segCheck{f: f}
+	k.want("ids", len(s.ids), n)
+	k.want("user", len(s.user), n)
+	k.want("created", len(s.created), n)
+	k.want("lang", len(s.lang), n)
+	k.want("hashtags", len(s.hashtags), n)
+	k.want("mentions", len(s.mentions), n)
+	k.want("flags", len(s.flags), n)
+	k.want("plat", len(s.plat), n)
+	k.want("group", len(s.group), n)
+	k.want("text.off", len(s.textOff), n+1)
+	k.offsets("text.off", s.textOff, s.textBlob)
+	k.handles("user", s.user, c.userTab)
+	k.handles("lang", s.lang, c.langTab)
+	k.handles("group", s.group, c.groupTab)
+	return s, k.err
 }
 
 // controlSeg serves sealed control-tweet rows.
 type controlSeg struct {
 	start, n int
-	file     *segFile
 
 	ids      []uint64
 	user     []uint32
@@ -494,16 +418,14 @@ type controlSeg struct {
 	hashtags []int32
 	mentions []int32
 	flags    []uint8
-
-	users, langs segStrs
-
-	userMap, langMap []uint32
 }
 
-func bindControlSeg(f *segFile, start int) (controlSeg, error) {
+// bindControlSeg binds f's control rows, validating handles against c's
+// live tables.
+func bindControlSeg(f *segFile, start int, c *controlCols) (controlSeg, error) {
 	n := int(f.foot.Rows)
 	s := controlSeg{
-		start: start, n: n, file: f,
+		start: start, n: n,
 		ids:      castSlice[uint64](f.sec("ids")),
 		user:     castSlice[uint32](f.sec("user")),
 		created:  castSlice[int64](f.sec("created")),
@@ -512,37 +434,30 @@ func bindControlSeg(f *segFile, start int) (controlSeg, error) {
 		mentions: castSlice[int32](f.sec("mentions")),
 		flags:    f.sec("flags"),
 	}
-	c := segCheck{f: f}
-	s.users = bindStrs(&c, "users")
-	s.langs = bindStrs(&c, "langs")
-	c.want("ids", len(s.ids), n)
-	c.want("user", len(s.user), n)
-	c.want("created", len(s.created), n)
-	c.want("lang", len(s.lang), n)
-	c.want("hashtags", len(s.hashtags), n)
-	c.want("mentions", len(s.mentions), n)
-	c.want("flags", len(s.flags), n)
-	c.handles("user", s.user, s.users)
-	c.handles("lang", s.lang, s.langs)
-	return s, c.err
+	k := segCheck{f: f}
+	k.want("ids", len(s.ids), n)
+	k.want("user", len(s.user), n)
+	k.want("created", len(s.created), n)
+	k.want("lang", len(s.lang), n)
+	k.want("hashtags", len(s.hashtags), n)
+	k.want("mentions", len(s.mentions), n)
+	k.want("flags", len(s.flags), n)
+	k.handles("user", s.user, c.userTab)
+	k.handles("lang", s.lang, c.langTab)
+	return s, k.err
 }
 
 // msgSeg serves sealed message rows.
 type msgSeg struct {
 	start, n int
-	file     *segFile
 
 	plat     []uint8
-	group    []uint32
+	group    []uint32 // groupTab handle
 	author   []uint64
 	sent     []int64
 	typ      []uint8
 	textOff  []uint64
 	textBlob []byte
-
-	groups segStrs
-
-	groupMap []uint32
 }
 
 func (s *msgSeg) text(j int) string {
@@ -553,10 +468,12 @@ func (s *msgSeg) text(j int) string {
 	return unsafe.String(&s.textBlob[lo], int(hi-lo))
 }
 
-func bindMsgSeg(f *segFile, start int) (msgSeg, error) {
+// bindMsgSeg binds f's message rows, validating handles against c's live
+// table.
+func bindMsgSeg(f *segFile, start int, c *msgCols) (msgSeg, error) {
 	n := int(f.foot.Rows)
 	s := msgSeg{
-		start: start, n: n, file: f,
+		start: start, n: n,
 		plat:     f.sec("plat"),
 		group:    castSlice[uint32](f.sec("group")),
 		author:   castSlice[uint64](f.sec("author")),
@@ -565,25 +482,22 @@ func bindMsgSeg(f *segFile, start int) (msgSeg, error) {
 		textOff:  castSlice[uint64](f.sec("text.off")),
 		textBlob: f.sec("text.blob"),
 	}
-	c := segCheck{f: f}
-	s.groups = bindStrs(&c, "groups")
-	c.want("plat", len(s.plat), n)
-	c.want("group", len(s.group), n)
-	c.want("author", len(s.author), n)
-	c.want("sent", len(s.sent), n)
-	c.want("typ", len(s.typ), n)
-	c.want("text.off", len(s.textOff), n+1)
-	c.offsets("text.off", s.textOff, s.textBlob)
-	c.handles("group", s.group, s.groups)
-	return s, c.err
+	k := segCheck{f: f}
+	k.want("plat", len(s.plat), n)
+	k.want("group", len(s.group), n)
+	k.want("author", len(s.author), n)
+	k.want("sent", len(s.sent), n)
+	k.want("typ", len(s.typ), n)
+	k.want("text.off", len(s.textOff), n+1)
+	k.offsets("text.off", s.textOff, s.textBlob)
+	k.handles("group", s.group, c.groupTab)
+	return s, k.err
 }
 
 // obsSeg serves one stripe's sealed observation rows. Handle columns
-// (title/phoneH/country/creator) keep the stripe's live-table handles —
-// observation segments are rebuilt rather than pinned across a resume
-// (DESIGN.md §16), so the stripe table is always the one they were sealed
-// under. next is COW-mutable: a chain whose tail was sealed is extended by
-// welding the frozen tail's next pointer to the new heap row.
+// (title/phoneH/country/creator) hold the stripe table's handles, like
+// every segment's. next is COW-mutable: a chain whose tail was sealed is
+// extended by welding the frozen tail's next pointer to the new heap row.
 type obsSeg struct {
 	start, n int
 
@@ -599,7 +513,10 @@ type obsSeg struct {
 	next      []uint32
 }
 
-func bindObsSeg(f *segFile, stripe, start, n int) (obsSeg, error) {
+// bindObsSeg binds stripe's rows [start, start+n) of f, validating handles
+// against the stripe's live table and chain links against the segment's
+// end.
+func bindObsSeg(f *segFile, stripe, start, n int, tab *ids.Table) (obsSeg, error) {
 	pre := fmt.Sprintf("s%02d.", stripe)
 	s := obsSeg{
 		start: start, n: n,
@@ -625,5 +542,10 @@ func bindObsSeg(f *segFile, stripe, start, n int) (obsSeg, error) {
 	c.want(pre+"online", len(s.online), n)
 	c.want(pre+"flags", len(s.flags), n)
 	c.want(pre+"next", len(s.next), n)
+	c.handles(pre+"title", s.title, tab)
+	c.handles(pre+"phoneH", s.phoneH, tab)
+	c.handles(pre+"country", s.country, tab)
+	c.handles(pre+"creator", s.creator, tab)
+	c.links(pre+"next", s.next, start+n)
 	return s, c.err
 }

@@ -2,22 +2,30 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"msgscope/internal/ids"
 )
 
 // Hostile-input gates for the segment reader. openSegFile checksums only
 // the footer, so a flipped byte inside a column survives open; binding
-// must then reject any value that would send a read outside the mapping.
+// must then reject any value that would send a read outside the mapping
+// or past the end of a live interning table.
 
-// sealedSegments seals one small segment of each pinned family (tweets,
-// control, messages) into a fresh directory and returns the file paths
-// by family.
-func sealedSegments(t testing.TB) map[string]string {
+// segFams lists every spilled family.
+var segFams = []string{famTweets, famControl, famMessages, famObs}
+
+// sealedSegments seals one small segment of each family (tweets, control,
+// messages, observations) into a fresh directory and returns the store —
+// whose live tables the segments' handles index — and the file paths by
+// family.
+func sealedSegments(t testing.TB) (*Store, map[string]string) {
 	t.Helper()
 	dir := t.TempDir()
 	s := New()
@@ -45,86 +53,106 @@ func sealedSegments(t testing.TB) map[string]string {
 		msgs[i].Text = "msg " + strconv.Itoa(i)
 	}
 	s.AddMessageBatch(msgs)
+	// Two observations per group, so every stripe with rows has a chain
+	// link to corrupt, with every handle column set.
+	gl := s.Groups()
+	for sweep := 0; sweep < 2; sweep++ {
+		for i, n := 0, gl.Len(); i < n; i++ {
+			g := gl.At(i)
+			s.AddObservation(g.Platform, g.Code, Observation{
+				At: base.Add(time.Duration(sweep*24) * time.Hour), Alive: true, Members: i,
+				Title: "T " + g.Code, CreatorPhoneH: HashPhone("+55" + strconv.Itoa(i)),
+				CreatorCountry: "BR", CreatorKey: "ck" + strconv.Itoa(i),
+			})
+		}
+	}
 	if err := s.SpillCheck(); err != nil {
 		t.Fatal(err)
 	}
 	paths := map[string]string{}
-	for fam, f := range s.SpillManifest().Families {
-		paths[fam] = filepath.Join(dir, f.Segments[0].Name)
-	}
-	for _, fam := range pinnedFams {
-		if paths[fam] == "" {
-			t.Fatalf("no %s segment sealed", fam)
+	for _, fam := range segFams {
+		p := filepath.Join(dir, fam+"-000000.seg")
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("no %s segment sealed: %v", fam, err)
 		}
+		paths[fam] = p
 	}
-	return paths
+	return s, paths
 }
 
-// bindSegment opens path as a segment of family fam and binds it.
-func bindSegment(path, fam string) error {
-	f, err := openSegFile(path, fam)
-	if err != nil {
-		return err
-	}
-	defer unmapFile(f.data)
-	switch fam {
-	case famTweets:
-		_, err = bindTweetSeg(f, 0)
-	case famControl:
-		_, err = bindControlSeg(f, 0)
-	case famMessages:
-		_, err = bindMsgSeg(f, 0)
-	}
-	return err
-}
-
-// readSegment opens and binds path as a segment of family fam, then reads
-// every row through the family's row accessor, touching every byte of
-// every string it serves.
-func readSegment(path, fam string) error {
+// readSegment opens path as a segment of family fam, binds it against s's
+// live tables, then reads every row through the family's row accessor,
+// touching every byte of every string it serves and, for observations,
+// following every chain link.
+func readSegment(s *Store, path, fam string) error {
 	f, err := openSegFile(path, fam)
 	if err != nil {
 		return err
 	}
 	defer unmapFile(f.data)
 	var sum int
-	touch := func(ss ...string) {
-		for _, s := range ss {
-			for i := 0; i < len(s); i++ {
-				sum += int(s[i])
+	touch := func(strs ...string) {
+		for _, str := range strs {
+			for i := 0; i < len(str); i++ {
+				sum += int(str[i])
 			}
 		}
 	}
 	switch fam {
 	case famTweets:
-		seg, err := bindTweetSeg(f, 0)
+		c := tweetCols{userTab: s.tweets.userTab, langTab: s.tweets.langTab, groupTab: s.tweets.groupTab}
+		seg, err := bindTweetSeg(f, 0, &c)
 		if err != nil {
 			return err
 		}
-		c := tweetCols{segs: []tweetSeg{seg}, frozen: seg.n}
+		c.segs, c.frozen = []tweetSeg{seg}, seg.n
 		for i := 0; i < seg.n; i++ {
 			r := c.at(i)
 			touch(r.UserID, r.Lang, r.Text, r.GroupCode)
 		}
 	case famControl:
-		seg, err := bindControlSeg(f, 0)
+		c := controlCols{userTab: s.control.userTab, langTab: s.control.langTab}
+		seg, err := bindControlSeg(f, 0, &c)
 		if err != nil {
 			return err
 		}
-		c := controlCols{segs: []controlSeg{seg}, frozen: seg.n}
+		c.segs, c.frozen = []controlSeg{seg}, seg.n
 		for i := 0; i < seg.n; i++ {
 			r := c.at(i)
 			touch(r.UserID, r.Lang)
 		}
 	case famMessages:
-		seg, err := bindMsgSeg(f, 0)
+		c := msgCols{groupTab: s.msgs.groupTab}
+		seg, err := bindMsgSeg(f, 0, &c)
 		if err != nil {
 			return err
 		}
-		c := msgCols{segs: []msgSeg{seg}, frozen: seg.n}
+		c.segs, c.frozen = []msgSeg{seg}, seg.n
 		for i := 0; i < seg.n; i++ {
 			r := c.at(i)
 			touch(r.GroupCode, r.Text)
+		}
+	case famObs:
+		for stripe, rows := range f.foot.StripeRows {
+			if stripe >= numStripes {
+				return fmt.Errorf("segment %s: %d stripes", path, len(f.foot.StripeRows))
+			}
+			if rows == 0 {
+				continue
+			}
+			tab := s.groups.stripes[stripe].tab
+			seg, err := bindObsSeg(f, stripe, 0, int(rows), tab)
+			if err != nil {
+				return err
+			}
+			c := obsCols{segs: []obsSeg{seg}, frozen: seg.n}
+			for i := 0; i < seg.n; i++ {
+				o := c.recordAt(uint32(i), tab)
+				touch(o.Title, o.CreatorPhoneH, o.CreatorCountry, o.CreatorKey)
+				if next := c.nextAt(i); next != 0 {
+					sum += int(c.atNano(int(next - 1)))
+				}
+			}
 		}
 	}
 	_ = sum
@@ -166,14 +194,14 @@ func word(data []byte, i int) uint64 { return binary.NativeEndian.Uint64(data[8*
 func setWord(data []byte, i int, v uint64) { binary.NativeEndian.PutUint64(data[8*i:], v) }
 
 // TestSegmentBindRejectsCorruptColumns corrupts one column value at a time
-// in sealed segments of every pinned family, keeping the file size and
-// the footer checksum intact. Each prefix-offset column must start at 0,
-// never decrease and end at its blob's length, and each dictionary
-// handle must index its dictionary: binding must fail with an error
-// naming the segment and the column, and a checkpoint restore pinning
-// the file must fail the same way.
+// in sealed segments of every family, keeping the file size and the
+// footer checksum intact. Each prefix-offset column must start at 0,
+// never decrease and end at its blob's length; each handle column must
+// stay below its live table's length; each observation chain link must be
+// 0 or name a row below the segment's end. Binding must fail with an
+// error naming the segment and the column.
 func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
-	paths := sealedSegments(t)
+	s, paths := sealedSegments(t)
 
 	type corruption struct {
 		name string
@@ -187,15 +215,40 @@ func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
 		{"end short of blob", func(d []byte, lo, hi int) { setWord(d, hi-1, word(d, hi-2)) }},
 	}
 	offsetCols := map[string][]string{
-		famTweets:   {"text.off", "users.off", "langs.off", "groups.off"},
-		famControl:  {"users.off", "langs.off"},
-		famMessages: {"text.off", "groups.off"},
+		famTweets:   {"text.off"},
+		famMessages: {"text.off"},
 	}
-	// handleCols maps each handle column to its dictionary.
-	handleCols := map[string][][2]string{
-		famTweets:   {{"user", "users"}, {"lang", "langs"}, {"group", "groups"}},
-		famControl:  {{"user", "users"}, {"lang", "langs"}},
-		famMessages: {{"group", "groups"}},
+
+	// The observation fixture's first stripe with rows names the obs
+	// columns under test.
+	f, err := openSegFile(paths[famObs], famObs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripe := -1
+	for i, n := range f.foot.StripeRows {
+		if n >= 2 {
+			stripe = i
+			break
+		}
+	}
+	unmapFile(f.data)
+	if stripe < 0 {
+		t.Fatal("no observation stripe sealed two rows")
+	}
+	pre := fmt.Sprintf("s%02d.", stripe)
+	obsTab := s.groups.stripes[stripe].tab
+
+	// handleCols maps each handle column to the live table it indexes.
+	handleCols := map[string][]struct {
+		col string
+		tab *ids.Table
+	}{
+		famTweets:   {{"user", s.tweets.userTab}, {"lang", s.tweets.langTab}, {"group", s.tweets.groupTab}},
+		famControl:  {{"user", s.control.userTab}, {"lang", s.control.langTab}},
+		famMessages: {{"group", s.msgs.groupTab}},
+		famObs: {{pre + "title", obsTab}, {pre + "phoneH", obsTab},
+			{pre + "country", obsTab}, {pre + "creator", obsTab}},
 	}
 
 	check := func(t *testing.T, fam, col string, data []byte) {
@@ -204,7 +257,7 @@ func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := bindSegment(path, fam)
+		err := readSegment(s, path, fam)
 		if err == nil {
 			t.Fatalf("bind accepted the corrupt %s column", col)
 		}
@@ -213,7 +266,10 @@ func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
 		}
 	}
 
-	for _, fam := range pinnedFams {
+	for _, fam := range segFams {
+		if err := readSegment(s, paths[fam], fam); err != nil {
+			t.Fatalf("uncorrupted %s segment: %v", fam, err)
+		}
 		for _, col := range offsetCols[fam] {
 			for _, c := range offsetCorruptions {
 				t.Run(fam+"/"+col+"/"+c.name, func(t *testing.T) {
@@ -227,60 +283,41 @@ func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
 			}
 		}
 		for _, hc := range handleCols[fam] {
-			col, dict := hc[0], hc[1]
+			col, tab := hc.col, hc.tab
 			t.Run(fam+"/"+col+"/handle out of range", func(t *testing.T) {
 				data, secs := segmentCopy(t, paths[fam], fam)
-				dr, cr := secs[dict+".off"], secs[col]
+				cr := secs[col]
 				if cr[1]-cr[0] < 4 {
 					t.Fatalf("%s column is empty", col)
 				}
 				// Handle columns are uint32: overwrite the column's last
-				// entry with the first handle past the dictionary.
-				entries := uint32((dr[1]-dr[0])/8 - 1)
-				binary.NativeEndian.PutUint32(data[cr[1]-4:], entries)
+				// entry with the first handle past the live table.
+				binary.NativeEndian.PutUint32(data[cr[1]-4:], uint32(tab.Len()))
 				check(t, fam, col, data)
 			})
 		}
 	}
 
-	// The same corruption in a pinned file must fail RestoreSpill, since
-	// openPinned checks only the row and byte counts.
-	t.Run("restore", func(t *testing.T) {
-		dir := t.TempDir()
-		cfg := SpillConfig{Dir: dir, Budget: 1}
-		s := New()
-		if err := s.EnableSpill(cfg); err != nil {
-			t.Fatal(err)
-		}
-		rng := benchPCG(3)
-		batch := make([]TweetIngest, 16)
-		fillTweetBatch(batch, &rng, time.Date(2020, 4, 8, 0, 0, 0, 0, time.UTC), 1, len(batch), nil)
-		s.AddTweetBatch(batch)
-		if err := s.SpillCheck(); err != nil {
-			t.Fatal(err)
-		}
-		m := s.SpillManifest()
-		path := filepath.Join(dir, m.Families[famTweets].Segments[0].Name)
-		data, _, hi := sectionWords(t, path, famTweets, "text.off")
-		setWord(data, hi-1, 1<<40)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err := New().RestoreSpill(cfg, m)
-		if err == nil || !strings.Contains(err.Error(), "column text.off ") {
-			t.Fatalf("RestoreSpill on a corrupt pinned segment: %v, want a text.off error", err)
-		}
+	t.Run("obs/"+pre+"next/link past end", func(t *testing.T) {
+		data, secs := segmentCopy(t, paths[famObs], famObs)
+		cr := secs[pre+"next"]
+		rows := (cr[1] - cr[0]) / 4
+		// Link rows+1 names row rows, one past the stripe's last row.
+		binary.NativeEndian.PutUint32(data[cr[0]:], uint32(rows+1))
+		check(t, famObs, pre+"next", data)
 	})
 }
 
 // FuzzSegmentOpen feeds arbitrary bytes to the segment reader as each
-// pinned family: open, bind, and read every row. Whatever the input, the
-// reader must return an error or serve rows inside the mapping — never
-// panic or fault. The seeds are real sealed segments; the checked-in
-// corpus under testdata/fuzz holds mutations of them.
+// family: open, bind against live tables, and read every row (following
+// observation chain links). Whatever the input, the reader must return an
+// error or serve rows inside the mapping and the tables — never panic or
+// fault. The seeds are real sealed segments; the checked-in corpus under
+// testdata/fuzz holds mutations of them.
 func FuzzSegmentOpen(f *testing.F) {
-	for _, fam := range pinnedFams {
-		data, err := os.ReadFile(sealedSegments(f)[fam])
+	s, paths := sealedSegments(f)
+	for _, fam := range segFams {
+		data, err := os.ReadFile(paths[fam])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -291,8 +328,8 @@ func FuzzSegmentOpen(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, fam := range pinnedFams {
-			readSegment(path, fam)
+		for _, fam := range segFams {
+			readSegment(s, path, fam)
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 // Spill correctness gates. The contract under test is DESIGN.md §16's:
 // sealing rows into mmap-backed segments is invisible to every reader —
 // the same ingest with and without a budget produces byte-identical saved
-// output — and a checkpoint resume re-maps pinned segments instead of
-// re-ingesting their rows, again byte-identically.
+// output — and a checkpoint resume, which replays the logs into a budgeted
+// store, re-seals within the budget and saves byte-identically too.
 
 // spillCorpus ingests a deterministic, every-family workload into s:
 // tweets (with a full duplicate re-ingest from "the other API"), control
@@ -210,10 +209,13 @@ func TestSpilledStoreMatchesAllRAM(t *testing.T) {
 	}
 }
 
-// TestSpillCheckpointResumeMatches covers the manifest interplay: a resume
-// from the latest boundary re-maps the pinned segments and replays the log
-// tail; a resume from an earlier boundary additionally deletes the
-// segments sealed after it (orphans) and rolls the dataset back exactly.
+// TestSpillCheckpointResumeMatches covers resume under a budget: segments
+// are per-run scratch, so a resume from either boundary replays the logs
+// in full into a budgeted store, which re-seals as it goes. Resuming from
+// the latest boundary must reproduce the full dataset; rolling back to the
+// earlier one (as after a crash that lost the second manifest write) must
+// reproduce a round-1-only run, with the later round's segments and any
+// temp files deleted by EnableSpill before replay starts.
 func TestSpillCheckpointResumeMatches(t *testing.T) {
 	ckDir := t.TempDir()
 	cfg := SpillConfig{Dir: filepath.Join(ckDir, "segments"), Budget: 1}
@@ -260,8 +262,6 @@ func TestSpillCheckpointResumeMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spill1 := s.SpillManifest()
-
 	ingest(s, 2)
 	if err := s.SpillCheck(); err != nil {
 		t.Fatal(err)
@@ -270,117 +270,131 @@ func TestSpillCheckpointResumeMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spill2 := s.SpillManifest()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(spill2.Families) == 0 {
-		t.Fatal("nothing pinned; the resume test is vacuous")
+	if st := s.SpillStats(); st.Segments == 0 {
+		t.Fatal("nothing sealed; the resume test is vacuous")
 	}
 	fullSave := saveStore(t, s)
 
-	// Resume from the latest boundary: pinned segments re-map, logs replay.
+	// Resume from the latest boundary: full replay, re-sealing as it goes.
 	r2 := New()
-	if err := r2.RestoreSpill(cfg, spill2); err != nil {
+	if err := r2.EnableSpill(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := r2.LoadCheckpoint(ckDir, logs2); err != nil {
 		t.Fatal(err)
 	}
 	if st := r2.SpillStats(); st.Segments == 0 {
-		t.Fatal("resume mapped no segments")
+		t.Fatal("replay sealed no segments")
 	}
 	compareSaveDirs(t, fullSave, saveStore(t, r2))
 
-	// Roll back to the earlier boundary (as after a crash that lost the
-	// second manifest write): round-2 segments are orphans and must go,
-	// and the dataset must equal a round-1-only run. Destructive to the
-	// logs (they are truncated to the pinned prefix), so this comes last.
+	// Roll back to the earlier boundary. The directory now holds r2's
+	// round-2 segments; add a temp file as a crash mid-seal leaves one.
+	// Destructive to the logs (they are truncated to the round-1 prefix),
+	// so this comes last.
+	strays, err := filepath.Glob(filepath.Join(cfg.Dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(cfg.Dir, "tweets-000099.seg.tmp")
+	if err := os.WriteFile(tmp, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	strays = append(strays, tmp)
 	expect := New()
 	ingest(expect, 1)
 	r1 := New()
-	if err := r1.RestoreSpill(cfg, spill1); err != nil {
+	if err := r1.EnableSpill(cfg); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range strays {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("stray file %s survived EnableSpill", filepath.Base(p))
+		}
 	}
 	if err := r1.LoadCheckpoint(ckDir, logs1); err != nil {
 		t.Fatal(err)
 	}
 	compareSaveDirs(t, saveStore(t, expect), saveStore(t, r1))
+}
 
-	kept := map[string]bool{}
-	if spill1 != nil {
-		for _, fam := range spill1.Families {
-			for _, sg := range fam.Segments {
-				kept[sg.Name] = true
-			}
-		}
-	}
-	entries, err := os.ReadDir(cfg.Dir)
+// TestLoadCheckpointStaysWithinBudget replays a corpus many batches larger
+// than a small budget into a budgeted store: replay must re-seal as it
+// goes, leaving the spillable heap within one replay batch of the budget
+// rather than holding the whole corpus until the next boundary.
+func TestLoadCheckpointStaysWithinBudget(t *testing.T) {
+	const budget = 1 << 20
+	base := time.Date(2020, 4, 8, 0, 0, 0, 0, time.UTC)
+	ckDir := t.TempDir()
+	s := New()
+	w, err := s.OpenCheckpointWriter(ckDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".seg") && !kept[e.Name()] {
-			t.Errorf("orphan segment %s survived the rollback restore", e.Name())
-		}
-	}
-}
-
-// TestRestoreSpillCleansStraysAndVerifiesPins covers the crash windows
-// around a seal: leftover temp files and unpinned segments are deleted,
-// and a pinned segment that does not match its manifest entry is rejected
-// rather than silently mapped.
-func TestRestoreSpillCleansStraysAndVerifiesPins(t *testing.T) {
-	dir := t.TempDir()
-	cfg := SpillConfig{Dir: dir, Budget: 1}
-	s := New()
-	if err := s.EnableSpill(cfg); err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2020, 4, 8, 0, 0, 0, 0, time.UTC)
+	const nTweets = 10 * jsonlBatchSize
 	rng := benchPCG(3)
-	batch := make([]TweetIngest, 512)
-	fillTweetBatch(batch, &rng, base, 1, 512, nil)
-	s.AddTweetBatch(batch)
-	if err := s.SpillCheck(); err != nil {
-		t.Fatal(err)
+	var textBuf []byte
+	tweets := make([]TweetIngest, 1024)
+	for done := 0; done < nTweets; done += len(tweets) {
+		textBuf = fillTweetBatch(tweets, &rng, base, uint64(done+1), nTweets, textBuf)
+		s.AddTweetBatch(tweets)
 	}
-	m := s.SpillManifest()
-	if len(m.Families[famTweets].Segments) == 0 {
-		t.Fatal("no tweet segment sealed")
+	ctl := make([]ControlRecord, 4*jsonlBatchSize)
+	for i := range ctl {
+		ctl[i] = ControlRecord{ID: uint64(i + 1), UserID: "cu" + strconv.Itoa(i%97),
+			CreatedAt: base.Add(time.Duration(i) * time.Second), Lang: benchLangs[i%len(benchLangs)]}
 	}
-
-	// A crash mid-seal leaves a temp file; a crash after a seal but before
-	// the next manifest leaves an unpinned segment. Both must be cleaned.
-	stray1 := filepath.Join(dir, "tweets-999998.seg")
-	stray2 := filepath.Join(dir, ".tweets-999999.seg.tmp")
-	for _, p := range []string{stray1, stray2} {
-		if err := os.WriteFile(p, []byte("garbage"), 0o644); err != nil {
-			t.Fatal(err)
+	s.AddControlBatch(ctl)
+	msgs := make([]MessageRecord, 8*jsonlBatchSize)
+	fillMessageBatch(msgs, &rng, base, 0, len(msgs))
+	s.AddMessageBatch(msgs)
+	gl := s.Groups()
+	for sweep := 0; sweep < 3; sweep++ {
+		for i, n := 0, gl.Len(); i < n; i++ {
+			g := gl.At(i)
+			s.AddObservation(g.Platform, g.Code, Observation{
+				At: base.Add(time.Duration(sweep*24) * time.Hour), Alive: true, Title: "T " + g.Code, Members: i,
+			})
 		}
 	}
+	logs, err := w.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One replay batch's heap footprint: jsonlBatchSize tweets, the
+	// widest family, ingested into a plain store.
+	one := New()
+	batch := make([]TweetIngest, jsonlBatchSize)
+	fillTweetBatch(batch, &rng, base, 1, nTweets, nil)
+	one.AddTweetBatch(batch)
+	batchBytes := one.SpillStats().SpillableHeapBytes
+	if full := s.SpillStats().SpillableHeapBytes; full < 4*(budget+batchBytes) {
+		t.Fatalf("corpus holds %d spillable bytes, too few to exceed budget %d plus a %d-byte batch", full, budget, batchBytes)
+	}
+
 	r := New()
-	if err := r.RestoreSpill(cfg, m); err != nil {
+	if err := r.EnableSpill(SpillConfig{Dir: t.TempDir(), Budget: budget}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{stray1, stray2} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("stray file %s survived RestoreSpill", p)
-		}
-	}
-	if got, want := r.Tweets().Len(), s.Tweets().Len(); got != want {
-		t.Errorf("restored %d tweets from segments, want %d", got, want)
-	}
-
-	// Truncate the pinned file: the manifest byte count no longer matches.
-	pin := m.Families[famTweets].Segments[0]
-	path := filepath.Join(dir, pin.Name)
-	if err := os.Truncate(path, pin.Bytes-1); err != nil {
+	if err := r.LoadCheckpoint(ckDir, logs); err != nil {
 		t.Fatal(err)
 	}
-	if err := New().RestoreSpill(cfg, m); err == nil {
-		t.Fatal("RestoreSpill accepted a truncated pinned segment")
+	st := r.SpillStats()
+	if st.SpillableHeapBytes > budget+batchBytes {
+		t.Errorf("after replay the spillable heap holds %d bytes, want at most budget %d + one batch %d",
+			st.SpillableHeapBytes, budget, batchBytes)
 	}
+	if st.Segments == 0 {
+		t.Error("replay sealed no segments")
+	}
+	compareSaveDirs(t, saveStore(t, s), saveStore(t, r))
 }
 
 // TestSpilledListAccessAllocFree pins the zero-alloc read contract across
@@ -426,26 +440,18 @@ func TestSpilledListAccessAllocFree(t *testing.T) {
 
 // TestPruneObservationsSealsDeadSeries exercises the eager path: once
 // enough of the observation heap belongs to series that ended dead before
-// the horizon, the chains seal without any budget pressure.
+// the horizon, the chains seal without any budget pressure — but only past
+// pruneMinRows heap rows.
 func TestPruneObservationsSealsDeadSeries(t *testing.T) {
-	mk := func() (*Store, SpillConfig) {
-		cfg := SpillConfig{Dir: t.TempDir(), Budget: 1 << 40, PruneMinRows: 64}
-		s := New()
-		if err := s.EnableSpill(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return s, cfg
-	}
-	s, _ := mk()
-	plain := New()
 	base := time.Date(2020, 4, 8, 0, 0, 0, 0, time.UTC)
-	fill := func(s *Store) {
-		for i := 0; i < 64; i++ {
+	// fill gives groups four sweeps each; three quarters of the series end
+	// dead at the last sweep.
+	fill := func(s *Store, groups int) {
+		for i := 0; i < groups; i++ {
 			code := "g" + strconv.Itoa(i)
 			s.AddTweet(TweetRecord{ID: uint64(i + 1), UserID: "u", CreatedAt: base,
 				Platform: platform.Telegram, GroupCode: code, Source: SourceSearch})
 			for sweep := 0; sweep < 4; sweep++ {
-				// Three quarters of the series end dead at sweep 3.
 				alive := sweep < 3 || i%4 == 0
 				s.AddObservation(platform.Telegram, code, Observation{
 					At: base.Add(time.Duration(sweep*24) * time.Hour), Alive: alive, Members: i,
@@ -453,9 +459,29 @@ func TestPruneObservationsSealsDeadSeries(t *testing.T) {
 			}
 		}
 	}
-	fill(s)
-	fill(plain)
+	mk := func(groups int) *Store {
+		s := New()
+		if err := s.EnableSpill(SpillConfig{Dir: t.TempDir(), Budget: 1 << 40}); err != nil {
+			t.Fatal(err)
+		}
+		fill(s, groups)
+		return s
+	}
+	late := base.Add(10 * 24 * time.Hour)
 
+	// Just under the row minimum: even 3/4 dead series stay in heap.
+	small := mk(pruneMinRows/4 - 1)
+	if err := small.PruneObservations(late); err != nil {
+		t.Fatal(err)
+	}
+	if st := small.SpillStats(); st.Segments != 0 {
+		t.Fatalf("pruned %d segments below the %d-row minimum", st.Segments, pruneMinRows)
+	}
+
+	groups := pruneMinRows/4 + 16
+	s := mk(groups)
+	plain := New()
+	fill(plain, groups)
 	// Horizon before the dead tails: nothing to prune yet.
 	if err := s.PruneObservations(base); err != nil {
 		t.Fatal(err)
@@ -464,7 +490,7 @@ func TestPruneObservationsSealsDeadSeries(t *testing.T) {
 		t.Fatalf("pruned %d segments with nothing past the horizon", st.Segments)
 	}
 	// Horizon after them: the dead share (75%) crosses the quarter trigger.
-	if err := s.PruneObservations(base.Add(10 * 24 * time.Hour)); err != nil {
+	if err := s.PruneObservations(late); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.SpillStats(); st.Segments == 0 {

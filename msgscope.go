@@ -108,7 +108,8 @@ type Options struct {
 	MemBudget int64
 	// SpillDir overrides where a budgeted run keeps its segment files
 	// (default: CheckpointDir/segments when checkpointing, else a temp
-	// directory).
+	// directory). Segments are per-run scratch: every start, fresh or
+	// resumed, deletes the *.seg and *.tmp files already in it.
 	SpillDir string
 }
 
