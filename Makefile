@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-compare bench-smoke bench-scale bench-lda profile fuzz-smoke resume-smoke cover ci
+.PHONY: all build test vet fmt race bench bench-json bench-compare bench-smoke bench-scale bench-lda profile fuzz-smoke resume-smoke cover ci
 
 all: build
 
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when any tracked Go file is
+# not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -26,8 +32,7 @@ bench:
 # ingest; serial vs parallel where both exist, plus the checkpointed study
 # variant whose delta over plain parallel is the cost of
 # crash-resumability) rendered to the next BENCH_<n>.json (earlier
-# baselines are kept: bench-compare picks the newest one recorded on the
-# host it runs on), including the derived
+# documents are kept as history), including the derived
 # speedups, custom metrics (ns/rec, liveB/rec, tok/s, and the spill
 # benchmark's peakRSS-MB / heapLive-MB / segDisk-MB) and the machine's
 # core count. benchjson's -cpus mode runs the suite under each GOMAXPROCS
@@ -45,17 +50,19 @@ bench-json:
 	$(GO) run ./cmd/benchjson -cpus '$(BENCH_CPUS)' -bench '$(BENCH_PATTERN)' \
 		-count 3 -o $$out $(BENCH_PKGS) && cat $$out
 
-# Regression gate: rerun the pipeline benchmarks under the same GOMAXPROCS
-# matrix and repetition count as bench-json, and diff them against the
-# newest checked-in BENCH_*.json recorded on this host (same CPU model,
-# core count and matrix; with none, it fails and says to run
-# `make bench-json`), failing on >20% growth in ns/op, allocs/op or a
-# custom metric (ns/rec, liveB/rec). Allocation counts and live bytes are
-# deterministic at a fixed GOMAXPROCS; ns/op on a loaded machine is not,
-# hence the tolerance and the fastest-of-3 rows on both sides.
+# Regression gate, paired A/B: benchjson extracts BENCH_BASE's tree with
+# `git archive` into a temp dir and runs the pipeline benchmarks of that
+# tree and of the working tree alternately, 3 repetitions each under the
+# same GOMAXPROCS matrix as bench-json, so host drift lands on both sides
+# alike. It fails on >20% growth in ns/op, allocs/op or a custom metric
+# (ns/rec, liveB/rec) of the working tree's fastest run over the base's.
+# The default base, HEAD, compares an uncommitted change with its parent;
+# on a clean tree it is an A/A run.
+BENCH_BASE ?= HEAD
+
 bench-compare:
 	$(GO) run ./cmd/benchjson -cpus '$(BENCH_CPUS)' -bench '$(BENCH_PATTERN)' \
-		-count 3 -compare . $(BENCH_PKGS)
+		-count 3 -compare-rev '$(BENCH_BASE)' $(BENCH_PKGS)
 
 # Capture CPU + allocation profiles and an execution trace of one scaled
 # study run. Read them with `go tool pprof cpu.pprof` (top, list <func>,
@@ -77,7 +84,7 @@ bench-smoke:
 # O(record) (e.g. a reallocation bug turns appends quadratic), not on
 # timing noise. The second pass is observation-heavy: 5x groups (100K)
 # probed over a doubled 76-sweep horizon (~6M observations through the
-# per-stripe append-only column sets), the shape a TeleScope-style
+# append-only observation columns), the shape a TeleScope-style
 # longitudinal study would put on the group family.
 bench-scale:
 	MSGSCOPE_BENCH_SCALE=10 $(GO) test -run='^$$' -bench='StoreIngest' \
@@ -140,4 +147,4 @@ cover:
 	@$(GO) tool cover -func=cover.out | tail -1
 	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); if ($$3+0 < 70) { printf "coverage %.1f%% below the 70%% floor for internal/retry + internal/faults + internal/httpx\n", $$3; exit 1 } }'
 
-ci: vet build race cover fuzz-smoke resume-smoke bench-smoke bench-scale bench-lda bench bench-compare
+ci: fmt vet build race cover fuzz-smoke resume-smoke bench-smoke bench-scale bench-lda bench bench-compare

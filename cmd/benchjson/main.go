@@ -12,24 +12,25 @@
 // the named packages, so one invocation produces a GOMAXPROCS matrix. Each
 // result records its CPU count in the "cpus" field; -scale forwards a
 // workload multiplier to the child via MSGSCOPE_BENCH_SCALE. With -count N
-// each benchmark runs N times and the fastest row per configuration is
-// recorded — the min over repetitions is the noise floor, which keeps
-// recorded baselines comparable across runs on a shared host.
+// each benchmark runs N times (one go test process per repetition) and
+// the fastest row per configuration is recorded — the min over
+// repetitions is the noise floor on a shared host.
 //
-// With -compare DIR, the fresh run is additionally diffed against the
-// newest BENCH_*.json in DIR recorded on the same host — same CPU model,
-// core count and GOMAXPROCS matrix, since timings and the allocation
-// counts of parallel code mean nothing across hosts — and the command
-// exits non-zero when any benchmark regressed by more than the tolerance
-// in ns/op, allocs/op or a shared custom metric: the regression gate
-// `make ci` runs. When no baseline matches, it fails and says to record
-// one with `make bench-json`.
+// With -compare-rev REV (a git revision), the suite is a paired A/B
+// regression gate, the one `make ci` runs: REV's tree is extracted with
+// `git archive REV | tar -x` into a temp dir (the repository's .git is
+// only read), and the two trees' suites run alternately, one repetition
+// each, -count times, so host drift lands on both sides alike. The
+// fastest row per side is kept, and the command exits non-zero when any
+// benchmark of the working tree regressed against REV's by more than the
+// tolerance in ns/op, allocs/op or a shared custom metric. The JSON
+// document written is the working tree's.
 //
 // Usage:
 //
 //	go test ./internal/core -run '^$' -bench 'StudyRun' -benchmem | benchjson -o BENCH.json
 //	benchjson -cpus 1,4,8 -bench 'StudyRun|StoreIngest' -o BENCH.json ./internal/core ./internal/store
-//	benchjson -cpus 1,4,8 -bench 'StudyRun|StoreIngest' -compare . ./internal/core ./internal/store
+//	benchjson -cpus 1,2 -bench 'StudyRun|StoreIngest' -count 3 -compare-rev HEAD ./internal/core ./internal/store
 package main
 
 import (
@@ -38,13 +39,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"regexp"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,13 +84,13 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.String("compare", "", "baseline BENCH_*.json file, or a directory holding them (the highest-numbered one recorded on this host is used); exits non-zero on regression")
-	tol := flag.Float64("tol", 0.20, "allowed fractional regression in ns/op, allocs/op and custom metrics before -compare fails")
+	compareRev := flag.String("compare-rev", "", "git revision to benchmark alternately against the working tree (only with -cpus); exits non-zero on regression")
+	tol := flag.Float64("tol", 0.20, "allowed fractional regression in ns/op, allocs/op and custom metrics before -compare-rev fails")
 	cpus := flag.String("cpus", "", "comma-separated GOMAXPROCS list (e.g. 1,4,8): run the benchmarks under each count instead of reading stdin; positional args name the packages")
 	benchPat := flag.String("bench", "", "benchmark pattern for -cpus mode (required with -cpus)")
 	scale := flag.Float64("scale", 0, "workload multiplier forwarded to the child as MSGSCOPE_BENCH_SCALE (only with -cpus)")
 	benchtime := flag.String("benchtime", "", "passed through as go test -benchtime (only with -cpus)")
-	count := flag.Int("count", 1, "repetitions per benchmark (go test -count, only with -cpus); the fastest run per configuration is recorded")
+	count := flag.Int("count", 1, "repetitions per benchmark and tree (only with -cpus); the fastest run per configuration is recorded")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of this conversion to file")
 	memprofile := flag.String("memprofile", "", "write a heap profile of this conversion to file")
 	flag.Parse()
@@ -104,10 +102,26 @@ func main() {
 	}
 	defer files.Stop()
 
-	var doc document
-	if *cpus != "" {
-		doc, err = runMatrix(*cpus, *benchPat, *benchtime, *scale, *count, flag.Args())
-	} else {
+	var doc, base document
+	switch {
+	case *compareRev != "" && *cpus == "":
+		err = fmt.Errorf("-compare-rev requires -cpus")
+	case *compareRev != "":
+		var dir string
+		if dir, err = extractRev(".", *compareRev); err == nil {
+			var docs []document
+			docs, err = runMatrix([]string{".", dir}, *cpus, *benchPat, *benchtime, *scale, *count, flag.Args())
+			if err == nil {
+				doc, base = docs[0], docs[1]
+			}
+			os.RemoveAll(dir)
+		}
+	case *cpus != "":
+		var docs []document
+		if docs, err = runMatrix([]string{"."}, *cpus, *benchPat, *benchtime, *scale, *count, flag.Args()); err == nil {
+			doc = docs[0]
+		}
+	default:
 		doc, err = parseBench(os.Stdin, false)
 	}
 	if err != nil {
@@ -129,69 +143,105 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *compare != "" {
-		path, base, err := resolveBaseline(*compare, doc.host())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			files.Stop()
-			os.Exit(1)
-		}
+	if *compareRev != "" {
 		regs := regressions(base.Benchmarks, doc.Benchmarks, *tol)
 		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: regressions vs %s (tolerance %.0f%%):\n", path, *tol*100)
+			fmt.Fprintf(os.Stderr, "benchjson: regressions vs %s (tolerance %.0f%%):\n", *compareRev, *tol*100)
 			for _, r := range regs {
 				fmt.Fprintln(os.Stderr, "  "+r)
 			}
 			files.Stop()
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: no regressions vs %s (tolerance %.0f%%)\n", path, *tol*100)
+		fmt.Fprintf(os.Stderr, "benchjson: no regressions vs %s (tolerance %.0f%%)\n", *compareRev, *tol*100)
 	}
 }
 
+// extractRev writes the tree of git revision rev of the repository at repo
+// into a fresh temp dir (`git archive rev | tar -x`) and returns the dir;
+// the caller removes it. Only archive reads the repository, so its .git,
+// index and working tree are left as they are.
+func extractRev(repo, rev string) (string, error) {
+	dir, err := os.MkdirTemp("", "benchjson-rev-")
+	if err != nil {
+		return "", err
+	}
+	archive := exec.Command("git", "-C", repo, "archive", "--format=tar", rev)
+	untar := exec.Command("tar", "-x", "-C", dir)
+	// One buffer per command: exec copies each one's stderr on its own
+	// goroutine.
+	var archiveErr, untarErr strings.Builder
+	archive.Stderr, untar.Stderr = &archiveErr, &untarErr
+	if untar.Stdin, err = archive.StdoutPipe(); err == nil {
+		if err = untar.Start(); err == nil {
+			err = archive.Run()
+			if werr := untar.Wait(); err == nil {
+				err = werr
+			}
+		}
+	}
+	if err != nil {
+		os.RemoveAll(dir)
+		return "", fmt.Errorf("extracting %s: %w: %s", rev, err,
+			strings.TrimSpace(archiveErr.String()+untarErr.String()))
+	}
+	return dir, nil
+}
+
 // runMatrix execs the benchmark suite under each GOMAXPROCS in cpuList
-// (via go test's native -cpu flag) and parses the combined output with CPU
-// counts preserved. The child's stdout is mirrored to stderr so long runs
-// show progress.
-func runMatrix(cpuList, pattern, benchtime string, scale float64, count int, pkgs []string) (document, error) {
-	var doc document
+// (via go test's native -cpu flag) in each of dirs, count times over, one
+// repetition per process with the dirs taking turns, and parses each
+// dir's combined output with CPU counts preserved into one document per
+// dir. The children's stdout is mirrored to stderr so long runs show
+// progress.
+func runMatrix(dirs []string, cpuList, pattern, benchtime string, scale float64, count int, pkgs []string) ([]document, error) {
 	if pattern == "" {
-		return doc, fmt.Errorf("-cpus requires -bench")
+		return nil, fmt.Errorf("-cpus requires -bench")
 	}
 	if len(pkgs) == 0 {
-		return doc, fmt.Errorf("-cpus requires package arguments")
+		return nil, fmt.Errorf("-cpus requires package arguments")
 	}
 	var matrix []int
 	for _, f := range strings.Split(cpuList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 1 {
-			return doc, fmt.Errorf("bad -cpus entry %q", f)
+			return nil, fmt.Errorf("bad -cpus entry %q", f)
 		}
 		matrix = append(matrix, n)
 	}
-	args := []string{"test", "-run", "^$", "-bench", pattern, "-benchmem", "-cpu", cpuList}
+	args := []string{"test", "-run", "^$", "-bench", pattern, "-benchmem", "-cpu", cpuList, "-count", "1"}
 	if benchtime != "" {
 		args = append(args, "-benchtime", benchtime)
 	}
-	if count > 1 {
-		args = append(args, "-count", strconv.Itoa(count))
-	}
 	args = append(args, pkgs...)
-	cmd := exec.Command("go", args...)
-	var buf strings.Builder
-	cmd.Stdout = io.MultiWriter(&buf, os.Stderr)
-	cmd.Stderr = os.Stderr
-	cmd.Env = os.Environ()
+	env := os.Environ()
 	if scale > 0 {
-		cmd.Env = append(cmd.Env, fmt.Sprintf("MSGSCOPE_BENCH_SCALE=%g", scale))
+		env = append(env, fmt.Sprintf("MSGSCOPE_BENCH_SCALE=%g", scale))
 	}
-	if err := cmd.Run(); err != nil {
-		return doc, fmt.Errorf("go %s: %w", strings.Join(args, " "), err)
+	out := make([]strings.Builder, len(dirs))
+	for rep := 0; rep < max(count, 1); rep++ {
+		for i, dir := range dirs {
+			cmd := exec.Command("go", args...)
+			cmd.Dir = dir
+			cmd.Stdout = io.MultiWriter(&out[i], os.Stderr)
+			cmd.Stderr = os.Stderr
+			cmd.Env = env
+			if err := cmd.Run(); err != nil {
+				return nil, fmt.Errorf("go %s (in %s): %w", strings.Join(args, " "), dir, err)
+			}
+		}
 	}
-	doc, err := parseBench(strings.NewReader(buf.String()), true)
-	doc.CPUMatrix = matrix
-	doc.BenchScale = scale
-	return doc, err
+	docs := make([]document, len(dirs))
+	for i := range dirs {
+		doc, err := parseBench(strings.NewReader(out[i].String()), true)
+		if err != nil {
+			return nil, err
+		}
+		doc.CPUMatrix = matrix
+		doc.BenchScale = scale
+		docs[i] = doc
+	}
+	return docs, nil
 }
 
 // parseBench reads `go test -bench` output and builds the JSON document.
@@ -280,71 +330,6 @@ func bestOf(bs []benchmark) []benchmark {
 		out = append(out, b)
 	}
 	return out
-}
-
-// host is the fingerprint a baseline must share with a fresh run to be
-// comparable: ns/op depends on the CPU model and core count, and the
-// allocation counts of parallel fan-outs on GOMAXPROCS.
-type host struct {
-	CPU       string
-	Cores     int
-	CPUMatrix []int
-}
-
-func (d document) host() host { return host{CPU: d.CPU, Cores: d.Cores, CPUMatrix: d.CPUMatrix} }
-
-func (h host) String() string {
-	return fmt.Sprintf("cpu %q, cores %d, cpu_matrix %v", h.CPU, h.Cores, h.CPUMatrix)
-}
-
-// resolveBaseline maps the -compare argument to a baseline document: a
-// file path is used as-is; a directory is searched for BENCH_<n>.json and
-// the highest-numbered one whose fingerprint matches h wins (the newest
-// baseline recorded on this host).
-func resolveBaseline(arg string, h host) (string, document, error) {
-	fi, err := os.Stat(arg)
-	if err != nil {
-		return "", document{}, err
-	}
-	if !fi.IsDir() {
-		doc, err := loadDocument(arg)
-		return arg, doc, err
-	}
-	matches, err := filepath.Glob(filepath.Join(arg, "BENCH_*.json"))
-	if err != nil {
-		return "", document{}, err
-	}
-	nums := map[string]int{}
-	for _, m := range matches {
-		numStr := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(m), "BENCH_"), ".json")
-		if n, err := strconv.Atoi(numStr); err == nil {
-			nums[m] = n
-		}
-	}
-	paths := slices.Collect(maps.Keys(nums))
-	slices.SortFunc(paths, func(a, b string) int { return nums[b] - nums[a] })
-	for _, p := range paths {
-		doc, err := loadDocument(p)
-		if err != nil {
-			return "", document{}, err
-		}
-		if dh := doc.host(); dh.CPU == h.CPU && dh.Cores == h.Cores && slices.Equal(dh.CPUMatrix, h.CPUMatrix) {
-			return p, doc, nil
-		}
-	}
-	return "", document{}, fmt.Errorf("no BENCH_<n>.json in %s was recorded on this host (%s); record one with `make bench-json`", arg, h)
-}
-
-func loadDocument(path string) (document, error) {
-	var doc document
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return doc, err
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return doc, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return doc, nil
 }
 
 // benchKey identifies a benchmark configuration across runs: matrix-mode

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -199,47 +199,64 @@ func TestRegressionsGateThroughputMetrics(t *testing.T) {
 	}
 }
 
-func TestResolveBaselinePicksNewest(t *testing.T) {
-	here := host{CPU: "Example CPU", Cores: 2, CPUMatrix: []int{1, 2}}
-	dir := t.TempDir()
-	write := func(name string, h host) {
-		doc := document{CPU: h.CPU, Cores: h.Cores, CPUMatrix: h.CPUMatrix}
-		data, err := json.Marshal(doc)
+// TestExtractRevReadsCommittedTree pins the paired gate's baseline: the
+// extracted tree is the named revision's, not the working tree's, and
+// extraction leaves the repository (index, working tree) untouched.
+func TestExtractRevReadsCommittedTree(t *testing.T) {
+	repo := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-C", repo,
+			"-c", "user.name=bench", "-c", "user.email=bench@example.invalid"}, args...)...)
+		out, err := cmd.CombinedOutput()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("git %v: %v\n%s", args, err, out)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		return string(out)
+	}
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(repo, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write("BENCH_2.json", here)
-	write("BENCH_10.json", here)
-	// Newer, but from hosts that differ in one field each.
-	write("BENCH_11.json", host{CPU: here.CPU, Cores: 1, CPUMatrix: here.CPUMatrix})
-	write("BENCH_12.json", host{CPU: "Other CPU", Cores: 2, CPUMatrix: here.CPUMatrix})
-	write("BENCH_13.json", host{CPU: here.CPU, Cores: 2, CPUMatrix: []int{1}})
-	write("BENCH_x.json", here)
-	write("other.json", here)
-	got, _, err := resolveBaseline(dir, here)
+	git("init", "-q")
+	write("a.go", "package a // v1\n")
+	git("add", "a.go")
+	git("commit", "-q", "-m", "v1")
+	write("a.go", "package a // v2, uncommitted\n")
+	write("b.go", "package a // untracked\n")
+	status := git("status", "--porcelain")
+
+	dir, err := extractRev(repo, "HEAD")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(got) != "BENCH_10.json" {
-		t.Errorf("resolveBaseline = %q, want BENCH_10.json", got)
+	defer os.RemoveAll(dir)
+	if got, err := os.ReadFile(filepath.Join(dir, "a.go")); err != nil || string(got) != "package a // v1\n" {
+		t.Errorf("extracted a.go = %q, %v; want the committed v1", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "b.go")); !os.IsNotExist(err) {
+		t.Errorf("untracked b.go extracted (stat err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".git")); !os.IsNotExist(err) {
+		t.Errorf("extracted tree has a .git (stat err %v)", err)
+	}
+	if after := git("status", "--porcelain"); after != status {
+		t.Errorf("repository status changed by extraction:\n%s\nwant\n%s", after, status)
+	}
+	if got, _ := os.ReadFile(filepath.Join(repo, "a.go")); string(got) != "package a // v2, uncommitted\n" {
+		t.Errorf("working tree a.go = %q after extraction", got)
 	}
 
-	// A direct file path is used as-is.
-	file := filepath.Join(dir, "BENCH_12.json")
-	if got, doc, err := resolveBaseline(file, here); err != nil || got != file || doc.CPU != "Other CPU" {
-		t.Errorf("resolveBaseline(file) = %q, %q, %v", got, doc.CPU, err)
+	// An unknown revision fails and leaves no temp dir behind.
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	if dir, err := extractRev(repo, "no-such-rev"); err == nil {
+		os.RemoveAll(dir)
+		t.Error("unknown revision extracted")
 	}
-
-	// No baseline from this host: fail, and say how to record one.
-	_, _, err = resolveBaseline(dir, host{CPU: "New CPU", Cores: 2, CPUMatrix: []int{1, 2}})
-	if err == nil || !strings.Contains(err.Error(), "make bench-json") {
-		t.Errorf("no matching baseline: err = %v, want one naming make bench-json", err)
-	}
-	if _, _, err := resolveBaseline(t.TempDir(), here); err == nil {
-		t.Error("empty directory accepted as baseline source")
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("failed extraction left %d entries in TMPDIR", len(left))
 	}
 }

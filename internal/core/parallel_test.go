@@ -10,7 +10,7 @@ import (
 // TestPipelineRaceHammer drives the three store-writing phases —
 // hourly searches, stream drains, and daily metadata sweeps — concurrently
 // against one store. The pipeline never overlaps these phases itself; the
-// hammer exists so `go test -race` exercises the striped store locks and
+// hammer exists so `go test -race` exercises the store's family locks and
 // the atomic stat counters under genuine contention.
 func TestPipelineRaceHammer(t *testing.T) {
 	s, err := NewStudy(Config{Seed: 5, Scale: 0.004, Days: 8})

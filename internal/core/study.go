@@ -65,8 +65,6 @@ type Config struct {
 	// World overrides the full world configuration; nil means the
 	// paper-calibrated simworld.DefaultConfig(Seed, Scale).
 	World *simworld.Config
-	// MonitorWorkers sets daily-sweep parallelism (default 16).
-	MonitorWorkers int
 	// SearchWorkers bounds the hourly Search API fan-out (0 = one worker
 	// per tracked URL pattern, 1 = serial). Results are ingested in fixed
 	// pattern order either way, so the collected dataset is identical.
@@ -149,9 +147,6 @@ func (c Config) withDefaults() Config {
 			Telegram: scaleTarget(100, c.Scale),
 			Discord:  scaleTarget(100, c.Scale),
 		}
-	}
-	if c.MonitorWorkers <= 0 {
-		c.MonitorWorkers = 16
 	}
 	if c.MonitorEveryDays <= 0 {
 		c.MonitorEveryDays = 1
@@ -308,7 +303,6 @@ func NewStudy(cfg Config) (*Study, error) {
 		p.Breaker = s.breakers[host]
 	}
 	s.monitor = monitor.New(st, waMonitorClient, tgMonitorClient, dcMonitorClient)
-	s.monitor.Workers = cfg.MonitorWorkers
 
 	// WhatsApp join accounts: one per ~240 groups ("phones and SIM
 	// cards").

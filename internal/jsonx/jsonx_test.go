@@ -78,13 +78,13 @@ func TestDecRoundTrip(t *testing.T) {
 	var d Dec
 	d.Reset(raw)
 	var (
-		id          uint64
-		text        string
-		flag        bool
-		tags        []string
-		subName     string
-		subN        int64
-		sawExtra    bool
+		id       uint64
+		text     string
+		flag     bool
+		tags     []string
+		subName  string
+		subN     int64
+		sawExtra bool
 	)
 	err = d.Obj(func(key []byte) error {
 		switch string(key) {
@@ -186,11 +186,11 @@ func TestDecMalformed(t *testing.T) {
 func TestDecEscapes(t *testing.T) {
 	cases := map[string]string{
 		`"a\nb\tc\\d\"e\/f"`: "a\nb\tc\\d\"e/f",
-		`"\u0041\u00e9"`:      "A\u00e9",
-		`"\ud83d\ude00"`:      "\U0001f600",
-		`"\ud83d"`:            "\ufffd",
-		`"\u2028"`:            "\u2028",
-		`"pre\b\fpost"`:       "pre\b\fpost",
+		`"\u0041\u00e9"`:     "A\u00e9",
+		`"\ud83d\ude00"`:     "\U0001f600",
+		`"\ud83d"`:           "\ufffd",
+		`"\u2028"`:           "\u2028",
+		`"pre\b\fpost"`:      "pre\b\fpost",
 	}
 	for in, want := range cases {
 		var d Dec

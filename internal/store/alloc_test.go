@@ -9,9 +9,9 @@ import (
 )
 
 // Hard allocation bounds on the steady-state ingest paths. These are
-// regression gates, not benchmarks: the struct map keys and lazy update
-// slice make re-ingest and lookup allocation-free, and these tests fail if
-// a future change reintroduces a per-record allocation.
+// regression gates, not benchmarks: the struct map keys make re-ingest
+// and lookup allocation-free, and these tests fail if a future change
+// reintroduces a per-record allocation.
 
 func tweetBatchFor(n int) []TweetIngest {
 	base := time.Date(2019, 4, 1, 0, 0, 0, 0, time.UTC)

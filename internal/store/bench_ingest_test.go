@@ -445,9 +445,11 @@ func BenchmarkStoreIngestSpill(b *testing.B) {
 }
 
 // BenchmarkStoreIngestParallel drives AddTweetBatch and UpsertUserBatch
-// from GOMAXPROCS goroutines at once — the shape of the parallel
-// search/collect fan-out — so the -cpus matrix can measure how ingest
-// scales with cores (the striped store's reason to exist).
+// from GOMAXPROCS goroutines at once, so the -cpus matrix can measure how
+// ingest scales with cores. Each goroutine builds its own New() store per
+// iteration, so the goroutines never share a lock: this measures
+// independent stores ingesting side by side (allocator and GC pressure),
+// not contention on one store's family locks.
 func BenchmarkStoreIngestParallel(b *testing.B) {
 	base := time.Date(2020, 4, 8, 0, 0, 0, 0, time.UTC)
 	n := int(20_000 * benchScale())

@@ -88,16 +88,16 @@ type grpFP struct {
 	channels    int32
 }
 
-func (st *groupStripe) fpLocked(row uint32) grpFP {
+func (gt *groupTable) fpLocked(row uint32) grpFP {
 	return grpFP{
-		flags:       st.flags[row] & gfMutOwned,
-		canonical:   st.canonical[row],
-		creatorKey:  st.creatorKey[row],
-		deferReason: st.deferReason[row],
-		joinedAt:    st.joinedAt[row],
-		createdAt:   st.createdAt[row],
-		members:     st.members[row],
-		channels:    st.channels[row],
+		flags:       gt.flags[row] & gfMutOwned,
+		canonical:   gt.canonical[row],
+		creatorKey:  gt.creatorKey[row],
+		deferReason: gt.deferReason[row],
+		joinedAt:    gt.joinedAt[row],
+		createdAt:   gt.createdAt[row],
+		members:     gt.members[row],
+		channels:    gt.channels[row],
 	}
 }
 
@@ -157,7 +157,7 @@ func (l *ckLog) state() checkpoint.LogState {
 	return checkpoint.LogState{Bytes: l.bytes, Records: l.records}
 }
 
-// grpMarks is the writer's per-stripe capture state: the observation-chain
+// grpMarks is the writer's group capture state: the observation-chain
 // tail and scalar fingerprint of each row at the last checkpoint. Rows at
 // or past len(fp) are new since then.
 type grpMarks struct {
@@ -176,7 +176,7 @@ type CheckpointWriter struct {
 	ctlMark  int
 	postMark int
 	msgMark  int
-	grp      [numStripes]grpMarks
+	grp      grpMarks
 }
 
 // OpenCheckpointWriter creates (or truncates) the record logs under dir,
@@ -260,12 +260,9 @@ func (w *CheckpointWriter) enableTracking() {
 	s.ckDirtyTweets = map[uint32]struct{}{}
 	s.ckTweetMark = 0
 	s.tweetMu.Unlock()
-	for i := range s.users.stripes {
-		st := &s.users.stripes[i]
-		st.mu.Lock()
-		st.ckDirty = map[uint32]struct{}{}
-		st.mu.Unlock()
-	}
+	s.users.mu.Lock()
+	s.users.ckDirty = map[uint32]struct{}{}
+	s.users.mu.Unlock()
 }
 
 // Checkpoint appends every record ingested or changed since the previous
@@ -370,103 +367,78 @@ func (w *CheckpointWriter) capture(emit bool) error {
 
 // captureGroups emits new observations (chain rows past each group's tail
 // mark, immediately followed by that group's scalar event if its
-// fingerprint moved) for every stripe.
+// fingerprint moved).
 func (w *CheckpointWriter) captureGroups(emit bool) error {
 	events := w.logs[logEvents]
-	for si := range w.s.groups.stripes {
-		st := &w.s.groups.stripes[si]
-		marks := &w.grp[si]
-		st.mu.Lock()
-		err := func() error {
-			n := st.len()
-			for row := 0; row < n; row++ {
-				r := uint32(row)
-				isNew := row >= len(marks.fp)
-				var tail uint32
-				if !isNew {
-					tail = marks.obsTail[row]
-				}
-				if emit {
-					// Walk the chain from the marked tail (or the head for
-					// new groups) and emit the rows appended since.
-					next := st.obsHead[r]
-					if tail != 0 {
-						next = st.obs.nextAt(int(tail - 1))
-					}
-					p, code := platform.Platform(st.plat[r]), st.tab.Lookup(st.code[r])
-					for i := next; i != 0; i = st.obs.nextAt(int(i - 1)) {
-						o := st.obs.recordAt(i-1, st.tab)
-						if err := events.append(&ckEvent{Kind: "obs", Plat: p, Code: code, Obs: &o}); err != nil {
-							return err
-						}
-					}
-					if fp := st.fpLocked(r); isNew || fp != marks.fp[row] {
-						g := st.scalarsLocked(r)
-						if err := events.append(&ckEvent{Kind: "grp", Group: &g}); err != nil {
-							return err
-						}
-					}
-				}
-				if isNew {
-					marks.obsTail = append(marks.obsTail, st.obsTail[r])
-					marks.fp = append(marks.fp, st.fpLocked(r))
-				} else {
-					marks.obsTail[row] = st.obsTail[r]
-					marks.fp[row] = st.fpLocked(r)
+	gt := w.s.groups
+	marks := &w.grp
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	for row := 0; row < gt.len(); row++ {
+		r := uint32(row)
+		isNew := row >= len(marks.fp)
+		var tail uint32
+		if !isNew {
+			tail = marks.obsTail[row]
+		}
+		if emit {
+			// Walk the chain from the marked tail (or the head for new
+			// groups) and emit the rows appended since.
+			next := gt.obsHead[r]
+			if tail != 0 {
+				next = gt.obs.nextAt(int(tail - 1))
+			}
+			p, code := platform.Platform(gt.plat[r]), gt.tab.Lookup(gt.code[r])
+			for i := next; i != 0; i = gt.obs.nextAt(int(i - 1)) {
+				o := gt.obs.recordAt(i-1, gt.tab)
+				if err := events.append(&ckEvent{Kind: "obs", Plat: p, Code: code, Obs: &o}); err != nil {
+					return err
 				}
 			}
-			return nil
-		}()
-		st.mu.Unlock()
-		if err != nil {
-			return err
+			if fp := gt.fpLocked(r); isNew || fp != marks.fp[row] {
+				g := gt.scalarsLocked(r)
+				if err := events.append(&ckEvent{Kind: "grp", Group: &g}); err != nil {
+					return err
+				}
+			}
+		}
+		if isNew {
+			marks.obsTail = append(marks.obsTail, gt.obsTail[r])
+			marks.fp = append(marks.fp, gt.fpLocked(r))
+		} else {
+			marks.obsTail[row] = gt.obsTail[r]
+			marks.fp[row] = gt.fpLocked(r)
 		}
 	}
 	return nil
 }
 
-// captureUsers emits new rows past each stripe's mark plus rows whose
-// merge actually changed state since the last capture.
+// captureUsers emits new rows past the mark plus rows whose merge actually
+// changed state since the last capture, in row order.
 func (w *CheckpointWriter) captureUsers(emit bool) error {
 	events := w.logs[logEvents]
 	ut := w.s.users
-	for si := range ut.stripes {
-		st := &ut.stripes[si]
-		st.mu.Lock()
-		err := func() error {
-			n := uint32(len(st.key))
-			if emit {
-				rows := make([]uint32, 0, int(n)-int(st.ckMark)+len(st.ckDirty))
-				for row := range st.ckDirty {
-					rows = append(rows, row)
-				}
-				for row := st.ckMark; row < n; row++ {
-					rows = append(rows, row)
-				}
-				slices.Sort(rows)
-				for _, row := range rows {
-					u := UserRecord{
-						Platform:  platform.Platform(st.plat[row]),
-						Key:       st.key[row],
-						PhoneHash: st.phoneAt(row),
-						Country:   ut.countries.t.Lookup(st.country[row]),
-						Linked:    st.linked[row],
-						Creator:   st.creator[row],
-					}
-					if err := events.append(&ckEvent{Kind: "usr", User: &u}); err != nil {
-						return err
-					}
-				}
+	ut.mu.Lock()
+	defer ut.mu.Unlock()
+	n := uint32(len(ut.key))
+	if emit {
+		rows := make([]uint32, 0, int(n)-int(ut.ckMark)+len(ut.ckDirty))
+		for row := range ut.ckDirty {
+			rows = append(rows, row)
+		}
+		for row := ut.ckMark; row < n; row++ {
+			rows = append(rows, row)
+		}
+		slices.Sort(rows)
+		for _, row := range rows {
+			u := ut.recordLocked(row)
+			if err := events.append(&ckEvent{Kind: "usr", User: &u}); err != nil {
+				return err
 			}
-			st.ckMark = n
-			clear(st.ckDirty)
-			return nil
-		}()
-		st.mu.Unlock()
-		if err != nil {
-			return err
 		}
 	}
+	ut.ckMark = n
+	clear(ut.ckDirty)
 	return nil
 }
 
@@ -490,13 +462,10 @@ func (w *CheckpointWriter) Close() error {
 	s.ckDirtyTweets = nil
 	s.ckTweetMark = 0
 	s.tweetMu.Unlock()
-	for i := range s.users.stripes {
-		st := &s.users.stripes[i]
-		st.mu.Lock()
-		st.ckDirty = nil
-		st.ckMark = 0
-		st.mu.Unlock()
-	}
+	s.users.mu.Lock()
+	s.users.ckDirty = nil
+	s.users.ckMark = 0
+	s.users.mu.Unlock()
 	return first
 }
 
@@ -616,15 +585,15 @@ func (s *Store) applyEvent(e *ckEvent) error {
 		if e.Obs == nil {
 			return fmt.Errorf("obs event without observation")
 		}
-		_, st := s.groups.stripeFor(e.Plat, e.Code)
-		st.mu.Lock()
-		row, ok := st.m[groupKey{e.Plat, e.Code}]
+		gt := s.groups
+		gt.mu.Lock()
+		row, ok := gt.m[groupKey{e.Plat, e.Code}]
 		if ok {
-			st.appendObsLocked(row, e.Obs)
-			st.flags[row] &^= gfDeferred
-			st.deferReason[row] = 0
+			gt.appendObsLocked(row, e.Obs)
+			gt.flags[row] &^= gfDeferred
+			gt.deferReason[row] = 0
 		}
-		st.mu.Unlock()
+		gt.mu.Unlock()
 		if !ok {
 			return fmt.Errorf("observation for unknown group %v/%s", e.Plat, e.Code)
 		}
@@ -633,9 +602,9 @@ func (s *Store) applyEvent(e *ckEvent) error {
 			return fmt.Errorf("grp event without record")
 		}
 		g := e.Group
-		_, st := s.groups.stripeFor(g.Platform, g.Code)
-		st.mu.Lock()
-		row, ok := st.m[groupKey{g.Platform, g.Code}]
+		gt := s.groups
+		gt.mu.Lock()
+		row, ok := gt.m[groupKey{g.Platform, g.Code}]
 		if ok {
 			// Overwrite exactly the mutation-owned scalars; derived state
 			// (first/last-seen, counts, seen-source bits) was rebuilt by
@@ -653,16 +622,16 @@ func (s *Store) applyEvent(e *ckEvent) error {
 			if g.Deferred {
 				f |= gfDeferred
 			}
-			st.flags[row] = st.flags[row]&^gfMutOwned | f
-			st.canonical[row] = st.tab.Handle(g.Canonical)
-			st.creatorKey[row] = st.tab.Handle(g.CreatorKey)
-			st.deferReason[row] = st.tab.Handle(g.DeferReason)
-			st.joinedAt[row] = timeToNano(g.JoinedAt)
-			st.createdAt[row] = timeToNano(g.CreatedAt)
-			st.members[row] = int32(g.MemberCount)
-			st.channels[row] = int32(g.Channels)
+			gt.flags[row] = gt.flags[row]&^gfMutOwned | f
+			gt.canonical[row] = gt.tab.Handle(g.Canonical)
+			gt.creatorKey[row] = gt.tab.Handle(g.CreatorKey)
+			gt.deferReason[row] = gt.tab.Handle(g.DeferReason)
+			gt.joinedAt[row] = timeToNano(g.JoinedAt)
+			gt.createdAt[row] = timeToNano(g.CreatedAt)
+			gt.members[row] = int32(g.MemberCount)
+			gt.channels[row] = int32(g.Channels)
 		}
-		st.mu.Unlock()
+		gt.mu.Unlock()
 		if !ok {
 			return fmt.Errorf("scalar event for unknown group %v/%s", g.Platform, g.Code)
 		}

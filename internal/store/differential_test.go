@@ -272,7 +272,7 @@ func TestColumnarGroupsSaveMatchesPointerLayout(t *testing.T) {
 // writers (tweet batches, observations, joins, deferrals, canonical
 // rewrites) while readers take lookups, counts, sorted views, and full
 // snapshots. Run under -race this validates the lock protocol of the
-// columnar stripes: no torn column access, no rebuild racing a writer.
+// columnar group family: no torn column access, no rebuild racing a writer.
 // Cross-row invariants are checked only after the writers quiesce —
 // same-row read-during-write remains undefined, exactly as it was for the
 // pointer layout.

@@ -1,10 +1,10 @@
 package store
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"msgscope/internal/ids"
@@ -13,20 +13,20 @@ import (
 
 // Columnar (struct-of-arrays) layout for the group family and its daily
 // observation series — the last two heap-resident record shapes after the
-// tweet/message/user migration (columnar.go, stripes.go). A pointer-era
+// tweet/message/user migration (columnar.go, users.go). A pointer-era
 // GroupRecord cost 256 bytes plus a per-group []Observation whose elements
 // weighed ~150 bytes each with their own string allocations; at a 38-day
 // horizon observations outnumber groups ~38:1, so they dominate retained
-// heap. Here each stripe keeps one set of group columns and one
+// heap. Here the family keeps one set of group columns and one
 // append-only set of observation columns: strings interned to uint32
-// handles through a per-stripe ids.Table, times as int64 UnixNano with
+// handles through the family's ids.Table, times as int64 UnixNano with
 // the zero sentinel, bools packed into one flag byte.
 //
-// Observation addressing: probes arrive interleaved across a stripe's
-// groups (the daily sweep visits every group once per day), so a group's
+// Observation addressing: probes arrive interleaved across groups (the
+// daily sweep visits every group once per day), so a group's
 // observations are not naturally contiguous. Appends therefore chain rows
 // through a next column (each link set once, from the previous tail), and
-// Snapshot compacts every scattered stripe into group-major order — after
+// Snapshot compacts scattered chains into group-major order — after
 // which each group's series is one dense (first, count) range and random
 // access is O(1). Chain indexes are stored +1 so zero means "none",
 // keeping the zero value of a fresh column row meaningful.
@@ -45,7 +45,7 @@ const (
 	ofIsChannel
 )
 
-// obsCols holds one stripe's observations, one slice per Observation
+// obsCols holds the family's observations, one slice per Observation
 // field plus the intra-group chain. ~45 bytes/row against ~150 for the
 // former []Observation elements. Like the tweet/message families
 // (columnar.go), rows [0, frozen) live in sealed mmap-backed segments and
@@ -205,7 +205,7 @@ func (c *obsCols) recordAt(i uint32, tab *ids.Table) Observation {
 }
 
 // view returns length-trimmed header copies, safe to read after the
-// stripe lock is released: rows [0, n) are fully written before n is
+// family lock is released: rows [0, n) are fully written before n is
 // observed under the lock, and compaction swaps in fresh slices rather
 // than mutating the ones a view references. The one exception is the
 // next column — a later append sets the link on what was the tail row —
@@ -222,12 +222,13 @@ func (c *obsCols) view() obsCols {
 	}
 }
 
-// groupStripe holds one stripe's groups and their observations in
-// columnar form. All handles resolve through the stripe's own tab
-// (handle 0 is ""); titles, creator keys, countries, and phone hashes
-// repeat heavily across a group's daily series, so interning them
-// collapses the series' string weight to one copy per distinct value.
-type groupStripe struct {
+// groupTable is the group family and its observations in columnar form,
+// behind one mutex that guards every field, the sorted cache included.
+// All handles resolve through tab (handle 0 is ""); titles, creator keys,
+// countries, and phone hashes repeat heavily across a group's daily
+// series, so interning them collapses the series' string weight to one
+// copy per distinct value.
+type groupTable struct {
 	mu sync.Mutex
 	m  map[groupKey]uint32 // key -> row
 
@@ -253,82 +254,95 @@ type groupStripe struct {
 
 	obs obsCols
 	// obsScattered is set when an append lands away from its group's
-	// previous tail (an interleaving sweep); Snapshot compacts such
-	// stripes into group-major order.
+	// previous tail (an interleaving sweep); Snapshot then compacts the
+	// observation columns into group-major order.
 	obsScattered bool
 
 	tab *ids.Table
+
+	// sorted holds the rows in (platform, code) order, and byPlat
+	// partitions it into contiguous subslices, one per platform; dirty
+	// says a row was added since they were built.
+	dirty  bool
+	sorted []uint32
+	byPlat map[platform.Platform][]uint32
 }
 
-func (st *groupStripe) len() int { return len(st.plat) }
+func newGroupTable() *groupTable {
+	gt := &groupTable{m: map[groupKey]uint32{}, tab: ids.NewTable()}
+	gt.tab.Handle("") // handle 0 is the empty string
+	return gt
+}
+
+func (gt *groupTable) len() int { return len(gt.plat) }
 
 // appendLocked claims the next row with zero-valued columns for (p, code).
-// Caller holds st.mu and fills first/last-seen afterwards.
-func (st *groupStripe) appendLocked(p platform.Platform, code string) uint32 {
-	row := uint32(st.len())
-	st.plat = append(st.plat, uint8(p))
-	st.flags = append(st.flags, 0)
-	st.code = append(st.code, st.tab.Handle(code))
-	st.canonical = append(st.canonical, 0)
-	st.creatorKey = append(st.creatorKey, 0)
-	st.deferReason = append(st.deferReason, 0)
-	st.firstSeen = append(st.firstSeen, zeroTimeNano)
-	st.lastSeen = append(st.lastSeen, zeroTimeNano)
-	st.joinedAt = append(st.joinedAt, zeroTimeNano)
-	st.createdAt = append(st.createdAt, zeroTimeNano)
-	st.tweets = append(st.tweets, 0)
-	st.socialPosts = append(st.socialPosts, 0)
-	st.members = append(st.members, 0)
-	st.channels = append(st.channels, 0)
-	st.obsHead = append(st.obsHead, 0)
-	st.obsTail = append(st.obsTail, 0)
-	st.obsCount = append(st.obsCount, 0)
+// Caller holds gt.mu and fills first/last-seen afterwards.
+func (gt *groupTable) appendLocked(p platform.Platform, code string) uint32 {
+	row := uint32(gt.len())
+	gt.plat = append(gt.plat, uint8(p))
+	gt.flags = append(gt.flags, 0)
+	gt.code = append(gt.code, gt.tab.Handle(code))
+	gt.canonical = append(gt.canonical, 0)
+	gt.creatorKey = append(gt.creatorKey, 0)
+	gt.deferReason = append(gt.deferReason, 0)
+	gt.firstSeen = append(gt.firstSeen, zeroTimeNano)
+	gt.lastSeen = append(gt.lastSeen, zeroTimeNano)
+	gt.joinedAt = append(gt.joinedAt, zeroTimeNano)
+	gt.createdAt = append(gt.createdAt, zeroTimeNano)
+	gt.tweets = append(gt.tweets, 0)
+	gt.socialPosts = append(gt.socialPosts, 0)
+	gt.members = append(gt.members, 0)
+	gt.channels = append(gt.channels, 0)
+	gt.obsHead = append(gt.obsHead, 0)
+	gt.obsTail = append(gt.obsTail, 0)
+	gt.obsCount = append(gt.obsCount, 0)
 	return row
 }
 
 // appendObsLocked links one observation onto row's chain. Caller holds
-// st.mu.
-func (st *groupStripe) appendObsLocked(row uint32, o *Observation) {
-	n := uint32(st.obs.total())
-	st.obs.append(o, st.tab)
-	if st.obsHead[row] == 0 {
-		st.obsHead[row] = n + 1
+// gt.mu.
+func (gt *groupTable) appendObsLocked(row uint32, o *Observation) {
+	n := uint32(gt.obs.total())
+	gt.obs.append(o, gt.tab)
+	if gt.obsHead[row] == 0 {
+		gt.obsHead[row] = n + 1
 	} else {
-		if st.obsTail[row] != n {
-			st.obsScattered = true
+		if gt.obsTail[row] != n {
+			gt.obsScattered = true
 		}
-		st.obs.setNext(int(st.obsTail[row]-1), n+1)
+		gt.obs.setNext(int(gt.obsTail[row]-1), n+1)
 	}
-	st.obsTail[row] = n + 1
-	st.obsCount[row]++
+	gt.obsTail[row] = n + 1
+	gt.obsCount[row]++
 }
 
 // scalarsLocked materializes row's GroupRecord without its observation
 // series (Observations stays nil); the series lives in the obs columns
-// and is read through ObsList. Caller holds st.mu (or a view does the
-// equivalent through groupStripeView.at).
-func (st *groupStripe) scalarsLocked(row uint32) GroupRecord {
-	f := st.flags[row]
+// and is read through ObsList. Caller holds gt.mu (or a view does the
+// equivalent through groupView.at).
+func (gt *groupTable) scalarsLocked(row uint32) GroupRecord {
+	f := gt.flags[row]
 	return GroupRecord{
-		Platform:      platform.Platform(st.plat[row]),
-		Code:          st.tab.Lookup(st.code[row]),
-		Canonical:     st.tab.Lookup(st.canonical[row]),
-		FirstSeen:     nanoToTime(st.firstSeen[row]),
-		LastSeen:      nanoToTime(st.lastSeen[row]),
-		Tweets:        int(st.tweets[row]),
+		Platform:      platform.Platform(gt.plat[row]),
+		Code:          gt.tab.Lookup(gt.code[row]),
+		Canonical:     gt.tab.Lookup(gt.canonical[row]),
+		FirstSeen:     nanoToTime(gt.firstSeen[row]),
+		LastSeen:      nanoToTime(gt.lastSeen[row]),
+		Tweets:        int(gt.tweets[row]),
 		SeenTwitter:   f&gfSeenTwitter != 0,
 		SeenSocial:    f&gfSeenSocial != 0,
-		SocialPosts:   int(st.socialPosts[row]),
+		SocialPosts:   int(gt.socialPosts[row]),
 		Joined:        f&gfJoined != 0,
-		JoinedAt:      nanoToTime(st.joinedAt[row]),
-		CreatedAt:     nanoToTime(st.createdAt[row]),
+		JoinedAt:      nanoToTime(gt.joinedAt[row]),
+		CreatedAt:     nanoToTime(gt.createdAt[row]),
 		HiddenMembers: f&gfHiddenMembers != 0,
 		IsChannel:     f&gfIsChannel != 0,
-		Channels:      int(st.channels[row]),
-		MemberCount:   int(st.members[row]),
-		CreatorKey:    st.tab.Lookup(st.creatorKey[row]),
+		Channels:      int(gt.channels[row]),
+		MemberCount:   int(gt.members[row]),
+		CreatorKey:    gt.tab.Lookup(gt.creatorKey[row]),
 		Deferred:      f&gfDeferred != 0,
-		DeferReason:   st.tab.Lookup(st.deferReason[row]),
+		DeferReason:   gt.tab.Lookup(gt.deferReason[row]),
 	}
 }
 
@@ -336,8 +350,8 @@ func (st *groupStripe) scalarsLocked(row uint32) GroupRecord {
 // Platform and Code are identity (the map key) and are not rewritten;
 // Observations are not touched — mutation closures only ever set scalars,
 // and the observation path goes through appendObsLocked. Caller holds
-// st.mu.
-func (st *groupStripe) storeScalarsLocked(row uint32, g *GroupRecord) {
+// gt.mu.
+func (gt *groupTable) storeScalarsLocked(row uint32, g *GroupRecord) {
 	var f uint8
 	if g.SeenTwitter {
 		f |= gfSeenTwitter
@@ -357,50 +371,50 @@ func (st *groupStripe) storeScalarsLocked(row uint32, g *GroupRecord) {
 	if g.Deferred {
 		f |= gfDeferred
 	}
-	st.flags[row] = f
-	st.canonical[row] = st.tab.Handle(g.Canonical)
-	st.creatorKey[row] = st.tab.Handle(g.CreatorKey)
-	st.deferReason[row] = st.tab.Handle(g.DeferReason)
-	st.firstSeen[row] = timeToNano(g.FirstSeen)
-	st.lastSeen[row] = timeToNano(g.LastSeen)
-	st.joinedAt[row] = timeToNano(g.JoinedAt)
-	st.createdAt[row] = timeToNano(g.CreatedAt)
-	st.tweets[row] = int32(g.Tweets)
-	st.socialPosts[row] = int32(g.SocialPosts)
-	st.members[row] = int32(g.MemberCount)
-	st.channels[row] = int32(g.Channels)
+	gt.flags[row] = f
+	gt.canonical[row] = gt.tab.Handle(g.Canonical)
+	gt.creatorKey[row] = gt.tab.Handle(g.CreatorKey)
+	gt.deferReason[row] = gt.tab.Handle(g.DeferReason)
+	gt.firstSeen[row] = timeToNano(g.FirstSeen)
+	gt.lastSeen[row] = timeToNano(g.LastSeen)
+	gt.joinedAt[row] = timeToNano(g.JoinedAt)
+	gt.createdAt[row] = timeToNano(g.CreatedAt)
+	gt.tweets[row] = int32(g.Tweets)
+	gt.socialPosts[row] = int32(g.SocialPosts)
+	gt.members[row] = int32(g.MemberCount)
+	gt.channels[row] = int32(g.Channels)
 }
 
-// scalarHeapBytes is the stripe's group scalar-column footprint — part of
+// scalarHeapBytes is the group scalar-column footprint — part of
 // the resident floor SpillStats reports (every sweep touches every group,
-// so these never spill). Caller holds st.mu.
-func (st *groupStripe) scalarHeapBytes() int64 {
-	return sliceBytes(st.plat) + sliceBytes(st.flags) + sliceBytes(st.code) +
-		sliceBytes(st.canonical) + sliceBytes(st.creatorKey) + sliceBytes(st.deferReason) +
-		sliceBytes(st.firstSeen) + sliceBytes(st.lastSeen) + sliceBytes(st.joinedAt) +
-		sliceBytes(st.createdAt) + sliceBytes(st.tweets) + sliceBytes(st.socialPosts) +
-		sliceBytes(st.members) + sliceBytes(st.channels) +
-		sliceBytes(st.obsHead) + sliceBytes(st.obsTail) + sliceBytes(st.obsCount)
+// so these never spill). Caller holds gt.mu.
+func (gt *groupTable) scalarHeapBytes() int64 {
+	return sliceBytes(gt.plat) + sliceBytes(gt.flags) + sliceBytes(gt.code) +
+		sliceBytes(gt.canonical) + sliceBytes(gt.creatorKey) + sliceBytes(gt.deferReason) +
+		sliceBytes(gt.firstSeen) + sliceBytes(gt.lastSeen) + sliceBytes(gt.joinedAt) +
+		sliceBytes(gt.createdAt) + sliceBytes(gt.tweets) + sliceBytes(gt.socialPosts) +
+		sliceBytes(gt.members) + sliceBytes(gt.channels) +
+		sliceBytes(gt.obsHead) + sliceBytes(gt.obsTail) + sliceBytes(gt.obsCount)
 }
 
-// compactLocked rewrites the stripe's observation columns into group-major
+// compactLocked rewrites the observation columns into group-major
 // order, making every group's series one dense (first, count) range, and
 // drops rows orphaned by put-replacement. Fresh slices are allocated so
 // views taken earlier keep reading their own consistent arrays. Caller
-// holds st.mu.
-func (st *groupStripe) compactLocked() {
-	if !st.obsScattered {
+// holds gt.mu.
+func (gt *groupTable) compactLocked() {
+	if !gt.obsScattered {
 		return
 	}
 	// Sealed rows cannot be renumbered: chain links from other frozen rows
 	// point at them by global row, dedup-free anchors (obsHead/obsTail)
-	// span both tiers, and the segment file is immutable. A spilled stripe
+	// span both tiers, and the segment file is immutable. A spilled family
 	// therefore keeps its scattered chains and ObsList serves them by walk
 	// — the random-access upgrade is a heap-only luxury.
-	if len(st.obs.segs) > 0 {
+	if len(gt.obs.segs) > 0 {
 		return
 	}
-	old := st.obs
+	old := gt.obs
 	n := len(old.at)
 	fresh := obsCols{
 		at:        make([]int64, 0, n),
@@ -414,12 +428,12 @@ func (st *groupStripe) compactLocked() {
 		flags:     make([]uint8, 0, n),
 		next:      make([]uint32, 0, n),
 	}
-	for row := range st.obsHead {
-		if st.obsHead[row] == 0 {
+	for row := range gt.obsHead {
+		if gt.obsHead[row] == 0 {
 			continue
 		}
 		newHead := uint32(len(fresh.at)) + 1
-		for i := st.obsHead[row]; i != 0; i = old.next[i-1] {
+		for i := gt.obsHead[row]; i != 0; i = old.next[i-1] {
 			j := i - 1
 			fresh.at = append(fresh.at, old.at[j])
 			fresh.createdAt = append(fresh.createdAt, old.createdAt[j])
@@ -433,72 +447,33 @@ func (st *groupStripe) compactLocked() {
 			fresh.next = append(fresh.next, uint32(len(fresh.next))+2)
 		}
 		fresh.next[len(fresh.next)-1] = 0
-		st.obsHead[row] = newHead
-		st.obsTail[row] = uint32(len(fresh.at))
+		gt.obsHead[row] = newHead
+		gt.obsTail[row] = uint32(len(fresh.at))
 	}
-	st.obs = fresh
-	st.obsScattered = false
-}
-
-// groupTable is the striped, columnar group family.
-type groupTable struct {
-	stripes [numStripes]groupStripe
-
-	cacheMu sync.Mutex
-	dirty   atomic.Bool
-	sorted  []groupRef
-	// byPlat partitions sorted (which is ordered by platform, then code)
-	// into contiguous subslices, one per platform.
-	byPlat map[platform.Platform][]groupRef
-}
-
-func newGroupTable() *groupTable {
-	// Stripes initialize lazily on first insert: an eager 64-stripe setup
-	// costs ~1.2MB up front (each ids.Table's first intern claims a full
-	// 16KB string block), a fixed tax every store pays even when the
-	// group family stays empty — measurable against the message and user
-	// families' liveB/rec gates at test scale.
-	return &groupTable{}
-}
-
-// initLocked sets up a stripe's key map and interning table on first
-// insert. Caller holds st.mu. Read paths never need this: a nil key map
-// looks up as not-found, and the interning table is only dereferenced
-// for rows that exist.
-func (st *groupStripe) initLocked() {
-	if st.m == nil {
-		st.m = map[groupKey]uint32{}
-		st.tab = ids.NewTable()
-		st.tab.Handle("") // handle 0 is the empty string
-	}
-}
-
-func (gt *groupTable) stripeFor(p platform.Platform, code string) (uint32, *groupStripe) {
-	i := stripeHash(code, p)
-	return i, &gt.stripes[i]
+	gt.obs = fresh
+	gt.obsScattered = false
 }
 
 // upsertLocked returns the row for (p, code), creating it on first sight
-// and widening its first/last-seen window. Caller holds st.mu.
-func (gt *groupTable) upsertLocked(st *groupStripe, p platform.Platform, code string, at time.Time) (row uint32, isNew bool) {
-	st.initLocked()
+// and widening its first/last-seen window. Caller holds gt.mu.
+func (gt *groupTable) upsertLocked(p platform.Platform, code string, at time.Time) (row uint32, isNew bool) {
 	k := groupKey{p, code}
 	n := timeToNano(at)
-	row, ok := st.m[k]
+	row, ok := gt.m[k]
 	if !ok {
-		row = st.appendLocked(p, code)
-		st.m[k] = row
-		st.firstSeen[row], st.lastSeen[row] = n, n
-		gt.dirty.Store(true)
+		row = gt.appendLocked(p, code)
+		gt.m[k] = row
+		gt.firstSeen[row], gt.lastSeen[row] = n, n
+		gt.dirty = true
 		return row, true
 	}
 	// The sentinel is MinInt64, so these compare exactly like
 	// at.Before(FirstSeen) / at.After(LastSeen) did, zero times included.
-	if n < st.firstSeen[row] {
-		st.firstSeen[row] = n
+	if n < gt.firstSeen[row] {
+		gt.firstSeen[row] = n
 	}
-	if n > st.lastSeen[row] {
-		st.lastSeen[row] = n
+	if n > gt.lastSeen[row] {
+		gt.lastSeen[row] = n
 	}
 	return row, isNew
 }
@@ -506,36 +481,34 @@ func (gt *groupTable) upsertLocked(st *groupStripe, p platform.Platform, code st
 // lookup returns the full record for a key, including its materialized
 // observation series.
 func (gt *groupTable) lookup(p platform.Platform, code string) (GroupRecord, bool) {
-	_, st := gt.stripeFor(p, code)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	row, ok := st.m[groupKey{p, code}]
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	row, ok := gt.m[groupKey{p, code}]
 	if !ok {
 		return GroupRecord{}, false
 	}
-	g := st.scalarsLocked(row)
-	if c := st.obsCount[row]; c > 0 {
+	g := gt.scalarsLocked(row)
+	if c := gt.obsCount[row]; c > 0 {
 		g.Observations = make([]Observation, 0, c)
-		for i := st.obsHead[row]; i != 0; i = st.obs.nextAt(int(i - 1)) {
-			g.Observations = append(g.Observations, st.obs.recordAt(i-1, st.tab))
+		for i := gt.obsHead[row]; i != 0; i = gt.obs.nextAt(int(i - 1)) {
+			g.Observations = append(g.Observations, gt.obs.recordAt(i-1, gt.tab))
 		}
 	}
 	return g, true
 }
 
-// with materializes the scalar record for a key, runs fn on it under the
-// stripe lock, and writes the scalars back; unknown keys are a no-op. The
+// with materializes the scalar record for a key, runs fn on it under
+// gt.mu, and writes the scalars back; unknown keys are a no-op. The
 // record handed to fn carries no Observations — series access and append
 // go through ObsList and appendObsLocked.
 func (gt *groupTable) with(p platform.Platform, code string, fn func(*GroupRecord)) {
-	_, st := gt.stripeFor(p, code)
-	st.mu.Lock()
-	if row, ok := st.m[groupKey{p, code}]; ok {
-		g := st.scalarsLocked(row)
+	gt.mu.Lock()
+	if row, ok := gt.m[groupKey{p, code}]; ok {
+		g := gt.scalarsLocked(row)
 		fn(&g)
-		st.storeScalarsLocked(row, &g)
+		gt.storeScalarsLocked(row, &g)
 	}
-	st.mu.Unlock()
+	gt.mu.Unlock()
 }
 
 // put replaces (or creates) the record for g's key with *g, including its
@@ -543,69 +516,60 @@ func (gt *groupTable) with(p platform.Platform, code string, fn func(*GroupRecor
 // records over tweet-built skeletons. Observations a previous put chained
 // for the same key are orphaned and reclaimed by the next compaction.
 func (gt *groupTable) put(g *GroupRecord) {
-	_, st := gt.stripeFor(g.Platform, g.Code)
-	st.mu.Lock()
-	st.initLocked()
+	gt.mu.Lock()
 	k := groupKey{g.Platform, g.Code}
-	row, ok := st.m[k]
+	row, ok := gt.m[k]
 	if !ok {
-		row = st.appendLocked(g.Platform, g.Code)
-		st.m[k] = row
-		gt.dirty.Store(true)
+		row = gt.appendLocked(g.Platform, g.Code)
+		gt.m[k] = row
+		gt.dirty = true
 	}
-	st.storeScalarsLocked(row, g)
-	if st.obsCount[row] > 0 {
-		st.obsScattered = true // old chain rows become garbage
+	gt.storeScalarsLocked(row, g)
+	if gt.obsCount[row] > 0 {
+		gt.obsScattered = true // old chain rows become garbage
 	}
-	st.obsHead[row], st.obsTail[row], st.obsCount[row] = 0, 0, 0
+	gt.obsHead[row], gt.obsTail[row], gt.obsCount[row] = 0, 0, 0
 	for i := range g.Observations {
-		st.appendObsLocked(row, &g.Observations[i])
+		gt.appendObsLocked(row, &g.Observations[i])
 	}
-	st.mu.Unlock()
+	gt.mu.Unlock()
 }
 
-// rebuildLocked refreshes the sorted ref cache and its per-platform
-// partitions. Caller holds cacheMu; stripesHeld says whether the caller
-// already holds every stripe lock (Snapshot does).
-func (gt *groupTable) rebuildLocked(stripesHeld bool) {
-	if !gt.dirty.Swap(false) && gt.sorted != nil {
+// rebuildLocked refreshes the sorted row cache and its per-platform
+// partitions. Caller holds gt.mu.
+func (gt *groupTable) rebuildLocked() {
+	if !gt.dirty && gt.sorted != nil {
 		return
 	}
+	gt.dirty = false
+	// As for users (rebuildLocked in users.go), sort contiguous entries
+	// rather than rows compared through the columns.
 	type entry struct {
-		p    platform.Platform
 		code string
-		ref  groupRef
+		row  uint32
+		p    uint8
 	}
-	var all []entry
-	for i := range gt.stripes {
-		st := &gt.stripes[i]
-		if !stripesHeld {
-			st.mu.Lock()
-		}
-		for k, row := range st.m {
-			all = append(all, entry{k.p, k.code, makeGroupRef(uint32(i), row)})
-		}
-		if !stripesHeld {
-			st.mu.Unlock()
-		}
+	all := make([]entry, len(gt.plat))
+	for row, p := range gt.plat {
+		all[row] = entry{gt.tab.Lookup(gt.code[row]), uint32(row), p}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].p != all[j].p {
-			return all[i].p < all[j].p
+	slices.SortFunc(all, func(a, b entry) int {
+		if c := cmp.Compare(a.p, b.p); c != 0 {
+			return c
 		}
-		return all[i].code < all[j].code
+		return strings.Compare(a.code, b.code)
 	})
-	sorted := make([]groupRef, len(all))
+	sorted := make([]uint32, len(all))
 	for i, e := range all {
-		sorted[i] = e.ref
+		sorted[i] = e.row
 	}
-	byPlat := map[platform.Platform][]groupRef{}
+	byPlat := map[platform.Platform][]uint32{}
 	for lo := 0; lo < len(all); {
 		hi := lo
 		for hi < len(all) && all[hi].p == all[lo].p {
 			hi++
 		}
-		byPlat[all[lo].p] = sorted[lo:hi:hi]
+		byPlat[platform.Platform(all[lo].p)] = sorted[lo:hi:hi]
 		lo = hi
 	}
 	gt.sorted = sorted
@@ -614,43 +578,16 @@ func (gt *groupTable) rebuildLocked(stripesHeld bool) {
 
 // countFor tallies one platform's Table 2 group counters.
 func (gt *groupTable) countFor(p platform.Platform) (urls, joined int) {
-	for i := range gt.stripes {
-		st := &gt.stripes[i]
-		st.mu.Lock()
-		for _, row := range st.m {
-			if st.plat[row] != uint8(p) {
-				continue
-			}
-			urls++
-			if st.flags[row]&gfJoined != 0 {
-				joined++
-			}
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	for row, pl := range gt.plat {
+		if pl != uint8(p) {
+			continue
 		}
-		st.mu.Unlock()
+		urls++
+		if gt.flags[row]&gfJoined != 0 {
+			joined++
+		}
 	}
 	return urls, joined
-}
-
-// compactAllLocked compacts every scattered stripe's observation columns.
-// Caller holds every stripe lock (Snapshot's lockAll).
-func (gt *groupTable) compactAllLocked() {
-	for i := range gt.stripes {
-		gt.stripes[i].compactLocked()
-	}
-}
-
-// lockAll/unlockAll bracket Snapshot's consistent read: cacheMu first,
-// then every stripe in ascending index order.
-func (gt *groupTable) lockAll() {
-	gt.cacheMu.Lock()
-	for i := range gt.stripes {
-		gt.stripes[i].mu.Lock()
-	}
-}
-
-func (gt *groupTable) unlockAll() {
-	for i := range gt.stripes {
-		gt.stripes[i].mu.Unlock()
-	}
-	gt.cacheMu.Unlock()
 }

@@ -7,14 +7,14 @@ import (
 	"msgscope/internal/platform"
 )
 
-// groupStripeView is a header-copied snapshot of one stripe's group and
-// observation columns, taken under the stripe lock and safe to read after
-// it is released: rows the view covers were fully written before the view
+// groupView is a header-copied snapshot of the group and observation
+// columns, taken under the family lock and safe to read after it is
+// released: rows the view covers were fully written before the view
 // was taken, appends never move them, and compaction swaps in fresh
 // slices. Like the former pointer layout, reading a row concurrently with
 // a mutation of that same row is undefined — the pipeline only reads at
 // phase boundaries, after the writers of the previous phase quiesced.
-type groupStripeView struct {
+type groupView struct {
 	plat        []uint8
 	flags       []uint8
 	code        []uint32
@@ -36,24 +36,25 @@ type groupStripeView struct {
 	tab         *ids.Table
 }
 
-func (st *groupStripe) viewLocked() groupStripeView {
-	n := st.len()
-	return groupStripeView{
-		plat: st.plat[:n], flags: st.flags[:n],
-		code: st.code[:n], canonical: st.canonical[:n],
-		creatorKey: st.creatorKey[:n], deferReason: st.deferReason[:n],
-		firstSeen: st.firstSeen[:n], lastSeen: st.lastSeen[:n],
-		joinedAt: st.joinedAt[:n], createdAt: st.createdAt[:n],
-		tweets: st.tweets[:n], socialPosts: st.socialPosts[:n],
-		members: st.members[:n], channels: st.channels[:n],
-		obsHead: st.obsHead[:n], obsTail: st.obsTail[:n], obsCount: st.obsCount[:n],
-		obs: st.obs.view(), tab: st.tab,
+// viewLocked captures the column headers. Caller holds gt.mu.
+func (gt *groupTable) viewLocked() *groupView {
+	n := gt.len()
+	return &groupView{
+		plat: gt.plat[:n], flags: gt.flags[:n],
+		code: gt.code[:n], canonical: gt.canonical[:n],
+		creatorKey: gt.creatorKey[:n], deferReason: gt.deferReason[:n],
+		firstSeen: gt.firstSeen[:n], lastSeen: gt.lastSeen[:n],
+		joinedAt: gt.joinedAt[:n], createdAt: gt.createdAt[:n],
+		tweets: gt.tweets[:n], socialPosts: gt.socialPosts[:n],
+		members: gt.members[:n], channels: gt.channels[:n],
+		obsHead: gt.obsHead[:n], obsTail: gt.obsTail[:n], obsCount: gt.obsCount[:n],
+		obs: gt.obs.view(), tab: gt.tab,
 	}
 }
 
 // at materializes row's scalar record (Observations nil), allocation-free:
 // strings are interned lookups, times rebuilt from unixNano.
-func (v *groupStripeView) at(row uint32) GroupRecord {
+func (v *groupView) at(row uint32) GroupRecord {
 	f := v.flags[row]
 	return GroupRecord{
 		Platform:      platform.Platform(v.plat[row]),
@@ -78,49 +79,27 @@ func (v *groupStripeView) at(row uint32) GroupRecord {
 	}
 }
 
-// stripeViews is the set of per-stripe views a GroupList resolves rows
-// through; Snapshot takes one set and shares it across every list it
-// hands out.
-type stripeViews [numStripes]groupStripeView
-
-// viewsLocked captures every stripe's column headers. Caller holds
-// cacheMu; stripesHeld as for rebuildLocked.
-func (gt *groupTable) viewsLocked(stripesHeld bool) *stripeViews {
-	views := new(stripeViews)
-	for i := range gt.stripes {
-		st := &gt.stripes[i]
-		if !stripesHeld {
-			st.mu.Lock()
-		}
-		views[i] = st.viewLocked()
-		if !stripesHeld {
-			st.mu.Unlock()
-		}
-	}
-	return views
-}
-
 // GroupList is a read-only view of groups: the whole family or a
-// ref-selected subset (one platform, the joined sample), in (platform,
-// code) order. At materializes a GroupRecord's scalar fields without
+// row-selected subset (one platform, the joined sample), in (platform,
+// code) order. Snapshot shares one column view across every list it
+// hands out. At materializes a GroupRecord's scalar fields without
 // allocating; the observation series is addressed separately through
 // Obs, and Record joins the two for callers that need the full wire
 // record (Save, Group).
 type GroupList struct {
-	views *stripeViews
-	refs  []groupRef
+	v    *groupView
+	rows []uint32
 }
 
 // Len reports the number of groups in the view.
-func (l GroupList) Len() int { return len(l.refs) }
+func (l GroupList) Len() int { return len(l.rows) }
 
 // At returns the i'th group's scalar record. Observations is nil — use
 // Obs(i) for the daily series or Record(i) for the full wire record. The
 // record's strings alias store-owned memory: share them freely, but
 // treat them as immutable.
 func (l GroupList) At(i int) GroupRecord {
-	r := l.refs[i]
-	return l.views[r>>stripeShift].at(uint32(r) & stripeMask)
+	return l.v.at(l.rows[i])
 }
 
 // Key returns the i'th group's platform and code, reading only those two
@@ -129,22 +108,18 @@ func (l GroupList) At(i int) GroupRecord {
 // ingesting — At is not, since concurrent upserts rewrite a row's flags
 // and first/last-seen times.
 func (l GroupList) Key(i int) (platform.Platform, string) {
-	r := l.refs[i]
-	v := &l.views[r>>stripeShift]
-	row := uint32(r) & stripeMask
-	return platform.Platform(v.plat[row]), v.tab.Lookup(v.code[row])
+	row := l.rows[i]
+	return platform.Platform(l.v.plat[row]), l.v.tab.Lookup(l.v.code[row])
 }
 
 // Obs returns the i'th group's observation series.
 func (l GroupList) Obs(i int) ObsList {
-	r := l.refs[i]
-	v := &l.views[r>>stripeShift]
-	row := uint32(r) & stripeMask
+	row := l.rows[i]
 	return ObsList{
-		v:    v,
-		head: v.obsHead[row],
-		tail: v.obsTail[row],
-		n:    v.obsCount[row],
+		v:    l.v,
+		head: l.v.obsHead[row],
+		tail: l.v.obsTail[row],
+		n:    l.v.obsCount[row],
 	}
 }
 
@@ -166,13 +141,13 @@ func (l GroupList) Record(i int) GroupRecord {
 
 // Where returns the sub-view of groups satisfying keep, preserving order.
 func (l GroupList) Where(keep func(GroupRecord) bool) GroupList {
-	var refs []groupRef
-	for i := range l.refs {
+	var rows []uint32
+	for i, row := range l.rows {
 		if keep(l.At(i)) {
-			refs = append(refs, l.refs[i])
+			rows = append(rows, row)
 		}
 	}
-	return GroupList{views: l.views, refs: refs}
+	return GroupList{v: l.v, rows: rows}
 }
 
 // ObsList is a read-only view of one group's daily observation series, in
@@ -180,7 +155,7 @@ func (l GroupList) Where(keep func(GroupRecord) bool) GroupList {
 // range and At is O(1); before it, rows are chained and At(i) walks i
 // links — sequential consumers should use Each, which is O(n) either way.
 type ObsList struct {
-	v    *groupStripeView
+	v    *groupView
 	head uint32 // row+1; 0 = empty
 	tail uint32
 	n    uint32
@@ -332,16 +307,16 @@ func (l ObsList) eachRow(fn func(row uint32) bool) {
 
 // groups returns the all-groups view, sorted by platform then code.
 func (gt *groupTable) groups() GroupList {
-	gt.cacheMu.Lock()
-	defer gt.cacheMu.Unlock()
-	gt.rebuildLocked(false)
-	return GroupList{views: gt.viewsLocked(false), refs: gt.sorted}
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	gt.rebuildLocked()
+	return GroupList{v: gt.viewLocked(), rows: gt.sorted}
 }
 
 // groupsOf returns one platform's view, sorted by code.
 func (gt *groupTable) groupsOf(p platform.Platform) GroupList {
-	gt.cacheMu.Lock()
-	defer gt.cacheMu.Unlock()
-	gt.rebuildLocked(false)
-	return GroupList{views: gt.viewsLocked(false), refs: gt.byPlat[p]}
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	gt.rebuildLocked()
+	return GroupList{v: gt.viewLocked(), rows: gt.byPlat[p]}
 }

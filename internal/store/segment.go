@@ -54,9 +54,6 @@ type segFooter struct {
 	Family   string       `json:"family"`
 	Rows     int64        `json:"rows"`
 	Sections []segSection `json:"sections"`
-	// StripeRows is set for the observation family only: rows per stripe,
-	// in stripe order (the stripes' sections share one file).
-	StripeRows []int64 `json:"stripeRows,omitempty"`
 }
 
 // castBytes reinterprets a typed column as its raw memory.
@@ -146,9 +143,8 @@ func (w *segWriter) section(name string, p []byte) {
 
 // finish writes the footer and trailer, syncs, and renames the temp file
 // to its final name, returning the final path and the file size.
-func (w *segWriter) finish(rows int64, stripeRows []int64) (string, int64, error) {
+func (w *segWriter) finish(rows int64) (string, int64, error) {
 	w.foot.Rows = rows
-	w.foot.StripeRows = stripeRows
 	fj, err := json.Marshal(&w.foot)
 	if err != nil {
 		w.abort()
@@ -494,8 +490,8 @@ func bindMsgSeg(f *segFile, start int, c *msgCols) (msgSeg, error) {
 	return s, k.err
 }
 
-// obsSeg serves one stripe's sealed observation rows. Handle columns
-// (title/phoneH/country/creator) hold the stripe table's handles, like
+// obsSeg serves sealed observation rows. Handle columns
+// (title/phoneH/country/creator) hold the group table's handles, like
 // every segment's. next is COW-mutable: a chain whose tail was sealed is
 // extended by welding the frozen tail's next pointer to the new heap row.
 type obsSeg struct {
@@ -513,39 +509,39 @@ type obsSeg struct {
 	next      []uint32
 }
 
-// bindObsSeg binds stripe's rows [start, start+n) of f, validating handles
-// against the stripe's live table and chain links against the segment's
-// end.
-func bindObsSeg(f *segFile, stripe, start, n int, tab *ids.Table) (obsSeg, error) {
-	pre := fmt.Sprintf("s%02d.", stripe)
+// bindObsSeg binds f's observation rows as rows [start, start+n) of the
+// family, validating handles against the group family's live table and
+// chain links against the segment's end.
+func bindObsSeg(f *segFile, start int, tab *ids.Table) (obsSeg, error) {
+	n := int(f.foot.Rows)
 	s := obsSeg{
 		start: start, n: n,
-		at:        castSlice[int64](f.sec(pre + "at")),
-		createdAt: castSlice[int64](f.sec(pre + "createdAt")),
-		title:     castSlice[uint32](f.sec(pre + "title")),
-		phoneH:    castSlice[uint32](f.sec(pre + "phoneH")),
-		country:   castSlice[uint32](f.sec(pre + "country")),
-		creator:   castSlice[uint32](f.sec(pre + "creator")),
-		members:   castSlice[int32](f.sec(pre + "members")),
-		online:    castSlice[int32](f.sec(pre + "online")),
-		flags:     f.sec(pre + "flags"),
-		next:      castSlice[uint32](f.sec(pre + "next")),
+		at:        castSlice[int64](f.sec("at")),
+		createdAt: castSlice[int64](f.sec("createdAt")),
+		title:     castSlice[uint32](f.sec("title")),
+		phoneH:    castSlice[uint32](f.sec("phoneH")),
+		country:   castSlice[uint32](f.sec("country")),
+		creator:   castSlice[uint32](f.sec("creator")),
+		members:   castSlice[int32](f.sec("members")),
+		online:    castSlice[int32](f.sec("online")),
+		flags:     f.sec("flags"),
+		next:      castSlice[uint32](f.sec("next")),
 	}
 	c := segCheck{f: f}
-	c.want(pre+"at", len(s.at), n)
-	c.want(pre+"createdAt", len(s.createdAt), n)
-	c.want(pre+"title", len(s.title), n)
-	c.want(pre+"phoneH", len(s.phoneH), n)
-	c.want(pre+"country", len(s.country), n)
-	c.want(pre+"creator", len(s.creator), n)
-	c.want(pre+"members", len(s.members), n)
-	c.want(pre+"online", len(s.online), n)
-	c.want(pre+"flags", len(s.flags), n)
-	c.want(pre+"next", len(s.next), n)
-	c.handles(pre+"title", s.title, tab)
-	c.handles(pre+"phoneH", s.phoneH, tab)
-	c.handles(pre+"country", s.country, tab)
-	c.handles(pre+"creator", s.creator, tab)
-	c.links(pre+"next", s.next, start+n)
+	c.want("at", len(s.at), n)
+	c.want("createdAt", len(s.createdAt), n)
+	c.want("title", len(s.title), n)
+	c.want("phoneH", len(s.phoneH), n)
+	c.want("country", len(s.country), n)
+	c.want("creator", len(s.creator), n)
+	c.want("members", len(s.members), n)
+	c.want("online", len(s.online), n)
+	c.want("flags", len(s.flags), n)
+	c.want("next", len(s.next), n)
+	c.handles("title", s.title, tab)
+	c.handles("phoneH", s.phoneH, tab)
+	c.handles("country", s.country, tab)
+	c.handles("creator", s.creator, tab)
+	c.links("next", s.next, start+n)
 	return s, c.err
 }

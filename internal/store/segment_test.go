@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -53,8 +52,8 @@ func sealedSegments(t testing.TB) (*Store, map[string]string) {
 		msgs[i].Text = "msg " + strconv.Itoa(i)
 	}
 	s.AddMessageBatch(msgs)
-	// Two observations per group, so every stripe with rows has a chain
-	// link to corrupt, with every handle column set.
+	// Two observations per group, so the segment has chain links to
+	// corrupt, with every handle column set.
 	gl := s.Groups()
 	for sweep := 0; sweep < 2; sweep++ {
 		for i, n := 0, gl.Len(); i < n; i++ {
@@ -133,25 +132,17 @@ func readSegment(s *Store, path, fam string) error {
 			touch(r.GroupCode, r.Text)
 		}
 	case famObs:
-		for stripe, rows := range f.foot.StripeRows {
-			if stripe >= numStripes {
-				return fmt.Errorf("segment %s: %d stripes", path, len(f.foot.StripeRows))
-			}
-			if rows == 0 {
-				continue
-			}
-			tab := s.groups.stripes[stripe].tab
-			seg, err := bindObsSeg(f, stripe, 0, int(rows), tab)
-			if err != nil {
-				return err
-			}
-			c := obsCols{segs: []obsSeg{seg}, frozen: seg.n}
-			for i := 0; i < seg.n; i++ {
-				o := c.recordAt(uint32(i), tab)
-				touch(o.Title, o.CreatorPhoneH, o.CreatorCountry, o.CreatorKey)
-				if next := c.nextAt(i); next != 0 {
-					sum += int(c.atNano(int(next - 1)))
-				}
+		tab := s.groups.tab
+		seg, err := bindObsSeg(f, 0, tab)
+		if err != nil {
+			return err
+		}
+		c := obsCols{segs: []obsSeg{seg}, frozen: seg.n}
+		for i := 0; i < seg.n; i++ {
+			o := c.recordAt(uint32(i), tab)
+			touch(o.Title, o.CreatorPhoneH, o.CreatorCountry, o.CreatorKey)
+			if next := c.nextAt(i); next != 0 {
+				sum += int(c.atNano(int(next - 1)))
 			}
 		}
 	}
@@ -219,25 +210,7 @@ func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
 		famMessages: {"text.off"},
 	}
 
-	// The observation fixture's first stripe with rows names the obs
-	// columns under test.
-	f, err := openSegFile(paths[famObs], famObs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripe := -1
-	for i, n := range f.foot.StripeRows {
-		if n >= 2 {
-			stripe = i
-			break
-		}
-	}
-	unmapFile(f.data)
-	if stripe < 0 {
-		t.Fatal("no observation stripe sealed two rows")
-	}
-	pre := fmt.Sprintf("s%02d.", stripe)
-	obsTab := s.groups.stripes[stripe].tab
+	obsTab := s.groups.tab
 
 	// handleCols maps each handle column to the live table it indexes.
 	handleCols := map[string][]struct {
@@ -247,8 +220,8 @@ func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
 		famTweets:   {{"user", s.tweets.userTab}, {"lang", s.tweets.langTab}, {"group", s.tweets.groupTab}},
 		famControl:  {{"user", s.control.userTab}, {"lang", s.control.langTab}},
 		famMessages: {{"group", s.msgs.groupTab}},
-		famObs: {{pre + "title", obsTab}, {pre + "phoneH", obsTab},
-			{pre + "country", obsTab}, {pre + "creator", obsTab}},
+		famObs: {{"title", obsTab}, {"phoneH", obsTab},
+			{"country", obsTab}, {"creator", obsTab}},
 	}
 
 	check := func(t *testing.T, fam, col string, data []byte) {
@@ -298,13 +271,13 @@ func TestSegmentBindRejectsCorruptColumns(t *testing.T) {
 		}
 	}
 
-	t.Run("obs/"+pre+"next/link past end", func(t *testing.T) {
+	t.Run("obs/next/link past end", func(t *testing.T) {
 		data, secs := segmentCopy(t, paths[famObs], famObs)
-		cr := secs[pre+"next"]
+		cr := secs["next"]
 		rows := (cr[1] - cr[0]) / 4
-		// Link rows+1 names row rows, one past the stripe's last row.
+		// Link rows+1 names row rows, one past the segment's last row.
 		binary.NativeEndian.PutUint32(data[cr[0]:], uint32(rows+1))
-		check(t, famObs, pre+"next", data)
+		check(t, famObs, "next", data)
 	})
 }
 

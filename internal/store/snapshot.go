@@ -32,9 +32,9 @@ type Snapshot struct {
 
 	// Groups and Users are sorted by platform then code/key, matching the
 	// store's deterministic iteration order. Groups is a columnar view;
-	// every per-platform and joined partition below shares its stripe
-	// snapshots, so the whole group side of a Snapshot costs one set of
-	// column headers plus the ref slices.
+	// every per-platform and joined partition below shares its column
+	// snapshot, so the whole group side of a Snapshot costs one set of
+	// column headers plus the row slices.
 	Groups GroupList
 	Users  []*UserRecord
 
@@ -49,26 +49,24 @@ type Snapshot struct {
 // Snapshot freezes the store into an indexed view of the study window
 // [start, start+days). It sees a mutually consistent dataset even if stray
 // writers linger, by taking every lock in the store's documented total
-// order — tweetMu, msgMu, then each striped family's cacheMu followed by
-// its stripes in ascending index order — which no other multi-lock path
-// contradicts, so it cannot deadlock.
+// order — tweetMu, msgMu, groups.mu, users.mu — which no other
+// multi-lock path contradicts, so it cannot deadlock.
 func (s *Store) Snapshot(start time.Time, days int) *Snapshot {
 	s.tweetMu.Lock()
 	defer s.tweetMu.Unlock()
 	s.msgMu.Lock()
 	defer s.msgMu.Unlock()
-	s.groups.lockAll()
-	defer s.groups.unlockAll()
-	s.users.lockAll()
-	defer s.users.unlockAll()
+	gt := s.groups
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	s.users.mu.Lock()
+	defer s.users.mu.Unlock()
 
-	s.groups.rebuildLocked(true)
-	s.users.rebuildLocked(true)
-	// Compact scattered observation chains into group-major order while
-	// every stripe is held, so the views below (and any later ones) serve
-	// dense O(1)-addressable series.
-	s.groups.compactAllLocked()
-	groupViews := s.groups.viewsLocked(true)
+	gt.rebuildLocked()
+	// Compact scattered observation chains into group-major order, so the
+	// view below (and any later one) serves dense O(1)-addressable series.
+	gt.compactLocked()
+	groupView := gt.viewLocked()
 
 	tweets := TweetList{c: s.tweets.view(), all: true}
 	msgs := MessageList{c: s.msgs.view(), all: true}
@@ -79,8 +77,8 @@ func (s *Store) Snapshot(start time.Time, days int) *Snapshot {
 		Control:      ControlList{c: s.control.view()},
 		Posts:        s.posts,
 		Messages:     msgs,
-		Groups:       GroupList{views: groupViews, refs: s.groups.sorted},
-		Users:        s.users.materializeLocked(true),
+		Groups:       GroupList{v: groupView, rows: gt.sorted},
+		Users:        s.users.materializeLocked(),
 		tweetsByPlat: map[platform.Platform]TweetList{},
 		msgsByPlat:   map[platform.Platform]MessageList{},
 		groupsByPlat: map[platform.Platform]GroupList{},
@@ -136,21 +134,20 @@ func (s *Store) Snapshot(start time.Time, days int) *Snapshot {
 		sn.msgsByPlat[p] = MessageList{c: msgs.c, idx: idx}
 	}
 
-	// The rebuild already partitioned the sorted refs by platform; the
-	// partitions share groupViews with sn.Groups. Joined refs are gathered
+	// The rebuild already partitioned the sorted rows by platform; the
+	// partitions share groupView with sn.Groups. Joined rows are gathered
 	// off the flag column directly — no record materialization.
-	joinedRefs := map[platform.Platform][]groupRef{}
-	for p, refs := range s.groups.byPlat {
-		sn.groupsByPlat[p] = GroupList{views: groupViews, refs: refs}
-		for _, r := range refs {
-			v := &groupViews[r>>stripeShift]
-			if v.flags[uint32(r)&stripeMask]&gfJoined != 0 {
-				joinedRefs[p] = append(joinedRefs[p], r)
+	joinedRows := map[platform.Platform][]uint32{}
+	for p, rows := range gt.byPlat {
+		sn.groupsByPlat[p] = GroupList{v: groupView, rows: rows}
+		for _, row := range rows {
+			if groupView.flags[row]&gfJoined != 0 {
+				joinedRows[p] = append(joinedRows[p], row)
 			}
 		}
 	}
-	for p, refs := range joinedRefs {
-		sn.joinedByPlat[p] = GroupList{views: groupViews, refs: refs}
+	for p, rows := range joinedRows {
+		sn.joinedByPlat[p] = GroupList{v: groupView, rows: rows}
 	}
 	for _, p := range platform.All {
 		sn.counts[p] = Counts{

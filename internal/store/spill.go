@@ -20,7 +20,7 @@ import (
 // What spills: the tweet, control, and message families and the
 // observation columns. What stays resident by design: the dedup indexes
 // (seenTweets/seenPosts — every ingest probes them), the group scalar
-// columns (every sweep touches every group), the user stripes (merge
+// columns (every sweep touches every group), the user columns (merge
 // semantics rewrite rows in place), the posts slice, and the interning
 // tables. SpillStats reports both sides so the floor is an honest number,
 // not a hidden one.
@@ -156,13 +156,9 @@ func (s *Store) SpillCheck() error {
 	s.msgMu.Lock()
 	mg := s.msgs.heapBytes()
 	s.msgMu.Unlock()
-	var ob int64
-	for i := range s.groups.stripes {
-		st := &s.groups.stripes[i]
-		st.mu.Lock()
-		ob += st.obs.heapBytes()
-		st.mu.Unlock()
-	}
+	s.groups.mu.Lock()
+	ob := s.groups.obs.heapBytes()
+	s.groups.mu.Unlock()
 	if tw+ctl+mg+ob <= sp.cfg.Budget {
 		return nil
 	}
@@ -204,21 +200,17 @@ func (s *Store) PruneObservations(horizon time.Time) error {
 		return nil
 	}
 	h := timeToNano(horizon)
-	s.groups.lockAll()
-	defer s.groups.unlockAll()
-	heapRows, deadRows := 0, 0
-	for i := range s.groups.stripes {
-		st := &s.groups.stripes[i]
-		heapRows += len(st.obs.at)
-		for _, row := range st.m {
-			tail := st.obsTail[row]
-			if tail == 0 || int(tail-1) < st.obs.frozen {
-				continue // no series, or its tail is already sealed
-			}
-			j := int(tail - 1)
-			if st.obs.flagsAt(j)&ofAlive == 0 && st.obs.atNano(j) < h {
-				deadRows += int(st.obsCount[row])
-			}
+	gt := s.groups
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	heapRows, deadRows := len(gt.obs.at), 0
+	for row, tail := range gt.obsTail {
+		if tail == 0 || int(tail-1) < gt.obs.frozen {
+			continue // no series, or its tail is already sealed
+		}
+		j := int(tail - 1)
+		if gt.obs.flagsAt(j)&ofAlive == 0 && gt.obs.atNano(j) < h {
+			deadRows += int(gt.obsCount[row])
 		}
 	}
 	if heapRows < pruneMinRows || deadRows*4 < heapRows {
@@ -252,7 +244,7 @@ func (s *Store) sealTweets() error {
 	w.section("plat", c.plat)
 	w.section("group", castBytes(c.group))
 	writeTextCols(w, &c.text, n)
-	path, size, err := w.finish(int64(n), nil)
+	path, size, err := w.finish(int64(n))
 	if err != nil {
 		return err
 	}
@@ -310,7 +302,7 @@ func (s *Store) sealControl() error {
 	w.section("hashtags", castBytes(c.hashtags))
 	w.section("mentions", castBytes(c.mentions))
 	w.section("flags", c.flags)
-	path, size, err := w.finish(int64(n), nil)
+	path, size, err := w.finish(int64(n))
 	if err != nil {
 		return err
 	}
@@ -357,7 +349,7 @@ func (s *Store) sealMessagesLocked() error {
 	w.section("sent", castBytes(c.sent))
 	w.section("typ", c.typ)
 	writeTextCols(w, &c.text, n)
-	path, size, err := w.finish(int64(n), nil)
+	path, size, err := w.finish(int64(n))
 	if err != nil {
 		return err
 	}
@@ -377,24 +369,21 @@ func (s *Store) sealMessagesLocked() error {
 	return nil
 }
 
-// sealObs seals every stripe's observation heap tail into one shared
-// segment file (64 per-stripe section groups). Handle columns keep their
-// stripe-table handles, as every family's segments do.
+// sealObs seals the observation heap tail. Handle columns keep their
+// live table handles, as every family's segments do.
 func (s *Store) sealObs() error {
-	s.groups.lockAll()
-	defer s.groups.unlockAll()
+	s.groups.mu.Lock()
+	defer s.groups.mu.Unlock()
 	return s.sealObsLocked()
 }
 
-// sealObsLocked does the work of sealObs; the caller holds every group
-// stripe lock (the store's documented lock order).
+// sealObsLocked does the work of sealObs; the caller holds groups.mu.
 func (s *Store) sealObsLocked() error {
 	sp := s.spill
-	total := 0
-	for i := range s.groups.stripes {
-		total += len(s.groups.stripes[i].obs.at)
-	}
-	if total == 0 {
+	gt := s.groups
+	c := &gt.obs
+	n := len(c.at)
+	if n == 0 {
 		return nil
 	}
 	name := sp.nextName(famObs)
@@ -402,26 +391,17 @@ func (s *Store) sealObsLocked() error {
 	if err != nil {
 		return err
 	}
-	stripeRows := make([]int64, numStripes)
-	for i := range s.groups.stripes {
-		c := &s.groups.stripes[i].obs
-		stripeRows[i] = int64(len(c.at))
-		if len(c.at) == 0 {
-			continue
-		}
-		pre := fmt.Sprintf("s%02d.", i)
-		w.section(pre+"at", castBytes(c.at))
-		w.section(pre+"createdAt", castBytes(c.createdAt))
-		w.section(pre+"title", castBytes(c.title))
-		w.section(pre+"phoneH", castBytes(c.phoneH))
-		w.section(pre+"country", castBytes(c.country))
-		w.section(pre+"creator", castBytes(c.creator))
-		w.section(pre+"members", castBytes(c.members))
-		w.section(pre+"online", castBytes(c.online))
-		w.section(pre+"flags", c.flags)
-		w.section(pre+"next", castBytes(c.next))
-	}
-	path, size, err := w.finish(int64(total), stripeRows)
+	w.section("at", castBytes(c.at))
+	w.section("createdAt", castBytes(c.createdAt))
+	w.section("title", castBytes(c.title))
+	w.section("phoneH", castBytes(c.phoneH))
+	w.section("country", castBytes(c.country))
+	w.section("creator", castBytes(c.creator))
+	w.section("members", castBytes(c.members))
+	w.section("online", castBytes(c.online))
+	w.section("flags", c.flags)
+	w.section("next", castBytes(c.next))
+	path, size, err := w.finish(int64(n))
 	if err != nil {
 		return err
 	}
@@ -429,22 +409,14 @@ func (s *Store) sealObsLocked() error {
 	if err != nil {
 		return err
 	}
-	for i := range s.groups.stripes {
-		n := int(stripeRows[i])
-		if n == 0 {
-			continue
-		}
-		st := &s.groups.stripes[i]
-		c := &st.obs
-		seg, err := bindObsSeg(f, i, c.frozen, n, st.tab)
-		if err != nil {
-			return err
-		}
-		c.segs = append(c.segs, seg)
-		c.frozen += n
-		c.at, c.createdAt, c.title, c.phoneH, c.country = nil, nil, nil, nil, nil
-		c.creator, c.members, c.online, c.flags, c.next = nil, nil, nil, nil, nil
+	seg, err := bindObsSeg(f, c.frozen, gt.tab)
+	if err != nil {
+		return err
 	}
+	c.segs = append(c.segs, seg)
+	c.frozen += n
+	c.at, c.createdAt, c.title, c.phoneH, c.country = nil, nil, nil, nil, nil
+	c.creator, c.members, c.online, c.flags, c.next = nil, nil, nil, nil, nil
 	sp.note(size)
 	return nil
 }
@@ -457,7 +429,7 @@ type SpillStats struct {
 	// SpillableHeapBytes is the hot tail of the families that can spill.
 	SpillableHeapBytes int64
 	// ResidentHeapBytes is the floor that stays in heap by design: dedup
-	// indexes, group scalar columns, user stripes (DESIGN.md §16).
+	// indexes, group scalar columns, user columns (DESIGN.md §16).
 	ResidentHeapBytes int64
 }
 
@@ -477,18 +449,12 @@ func (s *Store) SpillStats() SpillStats {
 	s.msgMu.Lock()
 	out.SpillableHeapBytes += s.msgs.heapBytes()
 	s.msgMu.Unlock()
-	for i := range s.groups.stripes {
-		st := &s.groups.stripes[i]
-		st.mu.Lock()
-		out.SpillableHeapBytes += st.obs.heapBytes()
-		out.ResidentHeapBytes += st.scalarHeapBytes()
-		st.mu.Unlock()
-	}
-	for i := range s.users.stripes {
-		st := &s.users.stripes[i]
-		st.mu.Lock()
-		out.ResidentHeapBytes += st.heapBytes()
-		st.mu.Unlock()
-	}
+	s.groups.mu.Lock()
+	out.SpillableHeapBytes += s.groups.obs.heapBytes()
+	out.ResidentHeapBytes += s.groups.scalarHeapBytes()
+	s.groups.mu.Unlock()
+	s.users.mu.Lock()
+	out.ResidentHeapBytes += s.users.heapBytes()
+	s.users.mu.Unlock()
 	return out
 }

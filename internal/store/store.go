@@ -16,10 +16,8 @@
 package store
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -165,29 +163,22 @@ type UserRecord struct {
 
 // Store is the in-memory dataset. It is safe for concurrent use.
 //
-// Concurrency model: the append-only log families each have one mutex
-// (tweetMu covers tweets, control, posts, and their dedup maps; msgMu
-// covers messages — an ordered log cannot be striped), while the keyed
-// families (groups, users) are lock-striped: each key hashes to one of 64
-// stripes with its own mutex, so the parallel search/collect fan-out and
-// the 16-worker daily sweep only contend when touching the same stripe.
+// Concurrency model: each record family has one mutex. tweetMu covers
+// tweets, control, posts, and their dedup maps; msgMu covers messages;
+// groups.mu covers the group columns, the observation series and the
+// sorted group index; users.mu covers the user columns, the countries
+// table and the sorted user index. One lock per keyed family suffices:
+// the study's writers spend their time in HTTP round trips, not in the
+// store, and finer locking measured no gain (DESIGN.md §12).
 //
-// Lock order: ordinary writers hold at most one stripe lock at a time and
-// never nest family locks (cross-family writes such as AddTweet release
-// tweetMu before touching group stripes), so they cannot deadlock. The
-// operations that do hold several locks — the sorted-cache rebuilds and
-// Snapshot — follow one total order:
+// Lock order: every path that holds more than one family lock acquires a
+// subsequence of one total order,
 //
-//	tweetMu → msgMu → groups.cacheMu → group stripes (ascending)
-//	        → users.cacheMu → user stripes (ascending)
+//	tweetMu → msgMu → groups.mu → users.mu
 //
-// Every multi-lock path acquires a subsequence of that chain in that
-// order, which is what makes Snapshot's "freeze everything at once" safe;
-// the former claim that no method ever holds two family locks was wrong
-// precisely there. A reader between the two phases of AddTweet can still
-// observe a tweet whose group record has not landed yet; the report layer
-// only reads after collection has quiesced (Snapshot), where every write
-// has completed.
+// so none can deadlock. AddTweetBatch holds tweetMu while it records the
+// batch's groups under groups.mu, so a tweet and its group land together;
+// Snapshot takes all four to freeze the dataset at once.
 type Store struct {
 	tweetMu sync.Mutex
 	tweets  tweetCols
@@ -256,27 +247,22 @@ func (s *Store) AddTweet(t TweetRecord) (newGroup bool) {
 	return s.AddTweetBatch([]TweetIngest{{Tweet: t}}) == 1
 }
 
-// AddTweetBatch records a batch of tweets in order, taking the tweet-family
-// lock once and each touched group stripe once instead of a lock pair per
-// tweet. Duplicates (already seen by the other API) get their source bits
-// merged and are dropped. Canonical URLs are recorded for groups discovered
-// by this batch. It returns how many group URLs were never seen before
+// AddTweetBatch records a batch of tweets in order, taking the tweet and
+// group family locks once instead of a lock pair per tweet. Duplicates
+// (already seen by the other API) get their source bits merged and are
+// dropped. Canonical URLs are recorded for groups discovered by this
+// batch; a group first shared twice in one batch keeps the first
+// occurrence's. It returns how many group URLs were never seen before
 // (discoveries).
 func (s *Store) AddTweetBatch(batch []TweetIngest) (newGroups int) {
 	if len(batch) == 0 {
 		return 0
 	}
-	// Group updates to apply per stripe after the tweet family is done.
-	type groupUpdate struct {
-		stripe    uint32
-		p         platform.Platform
-		code      string
-		at        time.Time
-		canonical string
-	}
-	var updates []groupUpdate
-
+	gt := s.groups
 	s.tweetMu.Lock()
+	defer s.tweetMu.Unlock()
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
 	for i := range batch {
 		t := &batch[i].Tweet
 		if row, dup := s.seenTweets.Get(t.ID); dup {
@@ -289,46 +275,15 @@ func (s *Store) AddTweetBatch(batch []TweetIngest) (newGroups int) {
 		}
 		s.seenTweets.Put(t.ID, uint32(s.tweets.len()))
 		s.tweets.append(t)
-		if updates == nil {
-			// Allocated only once a non-duplicate shows up, so re-ingesting
-			// an already-seen batch stays allocation-free.
-			updates = make([]groupUpdate, 0, len(batch))
-		}
-		st := stripeHash(t.GroupCode, t.Platform)
-		updates = append(updates, groupUpdate{st, t.Platform, t.GroupCode, t.CreatedAt, batch[i].Canonical})
-	}
-	s.tweetMu.Unlock()
-
-	if len(updates) == 0 {
-		return 0
-	}
-	// Visit each touched stripe once, in ascending order. The stable sort
-	// preserves batch order within a stripe, so a group first shared twice
-	// in one batch keeps the first occurrence's canonical URL, as before.
-	slices.SortStableFunc(updates, func(a, b groupUpdate) int {
-		return cmp.Compare(a.stripe, b.stripe)
-	})
-	for lo := 0; lo < len(updates); {
-		hi := lo
-		for hi < len(updates) && updates[hi].stripe == updates[lo].stripe {
-			hi++
-		}
-		st := &s.groups.stripes[updates[lo].stripe]
-		st.mu.Lock()
-		for i := lo; i < hi; i++ {
-			u := &updates[i]
-			row, isNew := s.groups.upsertLocked(st, u.p, u.code, u.at)
-			st.flags[row] |= gfSeenTwitter
-			st.tweets[row]++
-			if isNew {
-				newGroups++
-				if u.canonical != "" {
-					st.canonical[row] = st.tab.Handle(u.canonical)
-				}
+		row, isNew := gt.upsertLocked(t.Platform, t.GroupCode, t.CreatedAt)
+		gt.flags[row] |= gfSeenTwitter
+		gt.tweets[row]++
+		if isNew {
+			newGroups++
+			if c := batch[i].Canonical; c != "" {
+				gt.canonical[row] = gt.tab.Handle(c)
 			}
 		}
-		st.mu.Unlock()
-		lo = hi
 	}
 	return newGroups
 }
@@ -357,12 +312,12 @@ func (s *Store) AddPost(p PostRecord) (newGroup bool) {
 	s.posts = append(s.posts, p)
 	s.tweetMu.Unlock()
 
-	_, st := s.groups.stripeFor(p.Platform, p.GroupCode)
-	st.mu.Lock()
-	row, isNew := s.groups.upsertLocked(st, p.Platform, p.GroupCode, p.CreatedAt)
-	st.flags[row] |= gfSeenSocial
-	st.socialPosts[row]++
-	st.mu.Unlock()
+	gt := s.groups
+	gt.mu.Lock()
+	row, isNew := gt.upsertLocked(p.Platform, p.GroupCode, p.CreatedAt)
+	gt.flags[row] |= gfSeenSocial
+	gt.socialPosts[row]++
+	gt.mu.Unlock()
 	return isNew
 }
 
@@ -403,25 +358,25 @@ func (s *Store) Group(p platform.Platform, code string) (GroupRecord, bool) {
 
 // SetCanonical records the canonical URL of a group.
 func (s *Store) SetCanonical(p platform.Platform, code, canonical string) {
-	_, st := s.groups.stripeFor(p, code)
-	st.mu.Lock()
-	if row, ok := st.m[groupKey{p, code}]; ok {
-		st.canonical[row] = st.tab.Handle(canonical)
+	gt := s.groups
+	gt.mu.Lock()
+	if row, ok := gt.m[groupKey{p, code}]; ok {
+		gt.canonical[row] = gt.tab.Handle(canonical)
 	}
-	st.mu.Unlock()
+	gt.mu.Unlock()
 }
 
 // AddObservation appends a daily probe to a group's series and clears any
 // deferral. Unknown keys are a no-op, as with the mutation closures.
 func (s *Store) AddObservation(p platform.Platform, code string, o Observation) {
-	_, st := s.groups.stripeFor(p, code)
-	st.mu.Lock()
-	if row, ok := st.m[groupKey{p, code}]; ok {
-		st.appendObsLocked(row, &o)
-		st.flags[row] &^= gfDeferred
-		st.deferReason[row] = 0
+	gt := s.groups
+	gt.mu.Lock()
+	if row, ok := gt.m[groupKey{p, code}]; ok {
+		gt.appendObsLocked(row, &o)
+		gt.flags[row] &^= gfDeferred
+		gt.deferReason[row] = 0
 	}
-	st.mu.Unlock()
+	gt.mu.Unlock()
 }
 
 // MarkJoined records join-phase metadata on a group.
@@ -440,13 +395,13 @@ func (s *Store) MarkJoined(p platform.Platform, code string, update func(*GroupR
 // flag and reason columns: the sweep calls this on every fault, so it must
 // stay allocation-free (reasons are short stable constants, interned once).
 func (s *Store) MarkDeferred(p platform.Platform, code, reason string) {
-	_, st := s.groups.stripeFor(p, code)
-	st.mu.Lock()
-	if row, ok := st.m[groupKey{p, code}]; ok {
-		st.flags[row] |= gfDeferred
-		st.deferReason[row] = st.tab.Handle(reason)
+	gt := s.groups
+	gt.mu.Lock()
+	if row, ok := gt.m[groupKey{p, code}]; ok {
+		gt.flags[row] |= gfDeferred
+		gt.deferReason[row] = gt.tab.Handle(reason)
 	}
-	st.mu.Unlock()
+	gt.mu.Unlock()
 }
 
 // AddMessage records one collected message.
@@ -484,15 +439,18 @@ func (s *Store) UpsertUser(u UserRecord) {
 	s.users.upsert(&u)
 }
 
-// UpsertUserBatch merges a batch of observed users, locking each user's
-// stripe as it goes. Merging is commutative across batches (fields fill
+// UpsertUserBatch merges a batch of observed users under one acquisition
+// of the user family lock. Merging is commutative across batches (fields fill
 // in, Linked accumulates as a set, Creator only ever clears), so
 // concurrent batches land in the same final state regardless of
 // interleaving.
 func (s *Store) UpsertUserBatch(batch []UserRecord) {
+	ut := s.users
+	ut.mu.Lock()
 	for i := range batch {
-		s.users.upsert(&batch[i])
+		ut.upsertLocked(&batch[i])
 	}
+	ut.mu.Unlock()
 }
 
 func mergeStrings(a, b []string) []string {
@@ -527,9 +485,9 @@ func (s *Store) Control() ControlList {
 }
 
 // Groups returns a view of all discovered groups, sorted by platform then
-// code for deterministic iteration. The view resolves a packed (stripe,
-// row) ref index against per-stripe column snapshots, so taking one is
-// O(stripes), not O(N).
+// code for deterministic iteration. The view resolves a sorted row index
+// against one snapshot of the column headers, so taking one is O(1) once
+// the index is current.
 func (s *Store) Groups() GroupList {
 	return s.groups.groups()
 }
