@@ -46,14 +46,6 @@ func procStatusKB(field string) int64 {
 	return n
 }
 
-// ResetPeakRSS clears the kernel's peak-RSS watermark (writes "5" to
-// /proc/self/clear_refs), so a benchmark can measure the peak of one
-// region rather than of the process lifetime. Reports whether the reset
-// took effect; callers fall back to whole-process peaks when it did not.
-func ResetPeakRSS() bool {
-	return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) == nil
-}
-
 // HeapLiveBytes reports the bytes occupied by live heap objects
 // (/memory/classes/heap/objects from runtime/metrics) — the number the
 // spill budget actually constrains, next to the RSS the kernel sees.

@@ -20,11 +20,4 @@ func TestRSSMetrics(t *testing.T) {
 	if live := HeapLiveBytes(); live <= 0 {
 		t.Fatalf("HeapLiveBytes() = %d, want > 0", live)
 	}
-	// ResetPeakRSS may be denied (e.g. sandboxed); both outcomes are
-	// valid — only a successful reset must leave a sane watermark.
-	if ResetPeakRSS() {
-		if p := PeakRSSBytes(); p <= 0 {
-			t.Fatalf("PeakRSSBytes() = %d after reset, want > 0", p)
-		}
-	}
 }

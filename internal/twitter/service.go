@@ -14,6 +14,8 @@ package twitter
 import (
 	"fmt"
 	"net/http"
+	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,9 +69,10 @@ type Service struct {
 	Faults *faults.Injector
 
 	mu         sync.Mutex
-	published  []*simworld.Tweet // platform tweets published so far
-	control    []*simworld.Tweet // control (sample-stream) tweets
-	pubCur     cursor            // next world tweet to publish
+	published  []*simworld.Tweet       // platform tweets published so far
+	control    []*simworld.Tweet       // control (sample-stream) tweets
+	index      map[string]*postingList // search index: one posting list per query
+	pubCur     cursor                  // next world tweet to publish
 	ctlCur     cursor
 	nextSubID  int
 	subs       map[int]*subscriber
@@ -98,6 +101,7 @@ func NewService(world *simworld.World, clock simclock.Clock, cfg ServiceConfig) 
 		world:      world,
 		clock:      clock,
 		subs:       map[int]*subscriber{},
+		index:      map[string]*postingList{},
 		rlTokens:   float64(cfg.SearchRateLimit),
 		rlLastFill: clock.Now(),
 	}
@@ -270,6 +274,66 @@ func (s *Service) takeSearchToken() (ok bool, retryAfter time.Duration) {
 	return false, s.cfg.SearchRateWindow / time.Duration(s.cfg.SearchRateLimit)
 }
 
+// postingList is the search index's entry for one query: the tweets of
+// published[:upto] that contain the query and that the index did not
+// miss, in publication order.
+type postingList struct {
+	tweets []*simworld.Tweet
+	upto   int
+}
+
+// postings extends q's posting list, built on q's first search, over the
+// tweets published since the last search for q, and returns its prefix.
+func (s *Service) postings(q string) []*simworld.Tweet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.index[q]
+	if p == nil {
+		p = &postingList{}
+		s.index[q] = p
+	}
+	for _, tw := range s.published[p.upto:] {
+		if strings.Contains(tw.Text, q) && missHash(tw.ID) >= s.cfg.SearchMissP {
+			p.tweets = append(p.tweets, tw)
+		}
+	}
+	p.upto = len(s.published)
+	return p.tweets
+}
+
+// search serves one Search API page: up to count of q's matches in the
+// 7-day window with since_id < ID <= max_id (max_id 0 = no bound),
+// newest first, and the max_id of the next page (0 on the last one).
+//
+// It walks q's posting list newest-first outside s.mu: the list is
+// append-only, so its prefix stays valid. Tweet IDs are snowflakes
+// (ms<<22 | seq) and publication follows CreatedAt, so ID>>22 never
+// decreases along the list, but IDs within one millisecond may be out of
+// order. The walk is therefore bounded by millisecond, and the exact
+// max_id/since_id filters decide the boundary milliseconds.
+func (s *Service) search(q string, count int, sinceID, maxID uint64) (page []*simworld.Tweet, nextMax uint64) {
+	horizon := s.clock.Now().Add(-7 * 24 * time.Hour) // the Search API's 7-day window
+	list := s.postings(q)
+	end := len(list)
+	if maxID != 0 {
+		end = sort.Search(len(list), func(i int) bool { return list[i].ID>>22 > maxID>>22 })
+	}
+	for i := end - 1; i >= 0; i-- {
+		tw := list[i]
+		if tw.CreatedAt.Before(horizon) || tw.ID>>22 < sinceID>>22 {
+			break
+		}
+		if (maxID != 0 && tw.ID > maxID) || tw.ID <= sinceID {
+			continue
+		}
+		if len(page) == count {
+			return page, page[len(page)-1].ID - 1
+		}
+		page = append(page, tw)
+	}
+	return page, 0
+}
+
 func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.Faults.Intercept(w, r, "", func(w http.ResponseWriter) {
 		// Twitter's native rate-limit shape, so the client's existing 429
@@ -295,61 +359,31 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"errors":[{"code":88,"message":"Rate limit exceeded"}]}`, http.StatusTooManyRequests)
 		return
 	}
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, `{"errors":[{"code":25,"message":"Query parameters are missing"}]}`, http.StatusBadRequest)
 		return
 	}
 	count := s.cfg.SearchPageSize
-	if c := r.URL.Query().Get("count"); c != "" {
+	if c := params.Get("count"); c != "" {
 		if v, err := strconv.Atoi(c); err == nil && v > 0 && v < count {
 			count = v
 		}
 	}
 	var maxID, sinceID uint64
-	if v := r.URL.Query().Get("max_id"); v != "" {
+	if v := params.Get("max_id"); v != "" {
 		maxID, _ = strconv.ParseUint(v, 10, 64)
 	}
-	if v := r.URL.Query().Get("since_id"); v != "" {
+	if v := params.Get("since_id"); v != "" {
 		sinceID, _ = strconv.ParseUint(v, 10, 64)
 	}
 
-	now := s.clock.Now()
-	horizon := now.Add(-7 * 24 * time.Hour) // the Search API's 7-day window
-
-	s.mu.Lock()
-	// Newest-first scan, filtered to the window, the query, the index,
-	// and the pagination cursor.
-	var page []*simworld.Tweet
-	var nextMax uint64
-	for i := len(s.published) - 1; i >= 0; i-- {
-		tw := s.published[i]
-		if tw.CreatedAt.Before(horizon) {
-			break
-		}
-		if maxID != 0 && tw.ID > maxID {
-			continue
-		}
-		if tw.ID <= sinceID {
-			continue
-		}
-		if !strings.Contains(tw.Text, q) {
-			continue
-		}
-		if missHash(tw.ID) < s.cfg.SearchMissP {
-			continue // never indexed
-		}
-		if len(page) == count {
-			nextMax = page[len(page)-1].ID - 1
-			break
-		}
-		page = append(page, tw)
-	}
-	s.mu.Unlock()
+	page, nextMax := s.search(q, count, sinceID, maxID)
 
 	// Append-encoded into a pooled buffer, byte-identical to the
-	// json.NewEncoder(searchResponse{...}) rendering this replaced (the
-	// differential tests in wire_fast_test.go hold the two shapes equal).
+	// json.NewEncoder(searchResponse{...}) rendering this replaced
+	// (search_test.go holds the two equal through referenceSearchBody).
 	bp := jsonx.GetBuf()
 	defer jsonx.PutBuf(bp)
 	buf := append((*bp)[:0], `{"statuses":[`...)
@@ -362,7 +396,7 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 	buf = append(buf, `],"search_metadata":{`...)
 	if nextMax != 0 {
 		buf = append(buf, `"next_results":`...)
-		buf = jsonx.AppendString(buf, "?max_id="+strconv.FormatUint(nextMax, 10)+"&q="+q)
+		buf = jsonx.AppendString(buf, "?max_id="+strconv.FormatUint(nextMax, 10)+"&q="+url.QueryEscape(q))
 		buf = append(buf, `,"max_id_str":"`...)
 		buf = strconv.AppendUint(buf, nextMax, 10)
 		buf = append(buf, '"')

@@ -3,6 +3,8 @@ package twitter
 import (
 	"bytes"
 	"encoding/json"
+	"net/url"
+	"strconv"
 	"testing"
 	"time"
 
@@ -148,4 +150,24 @@ func TestParseSearchStatusesNextResults(t *testing.T) {
 	if len(sts) != 0 || next != "?max_id=9&q=x" {
 		t.Fatalf("got %d statuses, next %q", len(sts), next)
 	}
+}
+
+// referenceSearchBody renders a search page through encoding/json and the
+// wire.go structs, the shape handleSearch's append encoder must produce
+// byte for byte.
+func referenceSearchBody(t *testing.T, page []*simworld.Tweet, nextMax uint64, q string) []byte {
+	t.Helper()
+	resp := searchResponse{Statuses: []tweetJSON{}}
+	for _, tw := range page {
+		resp.Statuses = append(resp.Statuses, encodeTweet(tw))
+	}
+	if nextMax != 0 {
+		resp.SearchMetadata.NextResults = "?max_id=" + strconv.FormatUint(nextMax, 10) + "&q=" + url.QueryEscape(q)
+		resp.SearchMetadata.MaxIDStr = strconv.FormatUint(nextMax, 10)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
