@@ -19,8 +19,11 @@ fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The second pass repeats the in-process transport's tests: its response
+# buffers are pooled and reused, a hazard one race pass can miss.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 ./internal/httpx
 
 # One pass over every benchmark (correctness + headline numbers, not
 # stable timings; use `go test -bench=. -benchmem .` for real measurement).

@@ -86,9 +86,12 @@ func (k Kind) String() string {
 // faulted key would otherwise never pass retries).
 const AttemptHeader = "X-Fault-Attempt"
 
-// Mark stamps a request with its retry attempt number.
+// Mark stamps a retried request with its attempt number. A first attempt
+// carries no header, which Intercept reads as attempt 0.
 func Mark(req *http.Request, attempt int) {
-	req.Header.Set(AttemptHeader, strconv.Itoa(attempt))
+	if attempt != 0 {
+		req.Header.Set(AttemptHeader, strconv.Itoa(attempt))
+	}
 }
 
 // Counts is a snapshot of injected faults by kind.

@@ -269,6 +269,36 @@ func TestMarkSetsAttemptHeader(t *testing.T) {
 	}
 }
 
+// TestMissingAttemptHeaderIsAttemptZero: Mark leaves a first attempt
+// unstamped, so a request without the header must draw exactly what one
+// stamped "0" draws.
+func TestMissingAttemptHeaderIsAttemptZero(t *testing.T) {
+	plan := &Plan{Seed: 9, ErrorRate: 0.3, MalformedRate: 0.2}
+	bare, zero := NewInjector(plan, simclock.New(t0)), NewInjector(plan, simclock.New(t0))
+	for i := 0; i < 200; i++ {
+		path := "/invite/" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+		reqBare := httptest.NewRequest("GET", path, nil)
+		Mark(reqBare, 0)
+		if h, ok := reqBare.Header[AttemptHeader]; ok {
+			t.Fatalf("Mark(req, 0) set the attempt header to %q", h)
+		}
+		reqZero := httptest.NewRequest("GET", path, nil)
+		reqZero.Header.Set(AttemptHeader, "0")
+		recBare, recZero := httptest.NewRecorder(), httptest.NewRecorder()
+		gotBare, gotZero := bare.Intercept(recBare, reqBare, "", nil), zero.Intercept(recZero, reqZero, "", nil)
+		if gotBare != gotZero || recBare.Code != recZero.Code || recBare.Body.String() != recZero.Body.String() {
+			t.Fatalf("%s: missing header intercepted=%v (%d %q), \"0\" intercepted=%v (%d %q)", path,
+				gotBare, recBare.Code, recBare.Body, gotZero, recZero.Code, recZero.Body)
+		}
+		if kind := bare.Decide("GET "+path, 0); (kind != None) != gotBare {
+			t.Fatalf("%s: Decide(key, 0) = %v but Intercept reported %v", path, kind, gotBare)
+		}
+	}
+	if bare.Counts() != zero.Counts() || bare.Counts().Total() == 0 {
+		t.Fatalf("counts %+v vs %+v", bare.Counts(), zero.Counts())
+	}
+}
+
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		None: "none", ServerError: "server-error", Timeout: "timeout",

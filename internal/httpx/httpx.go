@@ -5,10 +5,12 @@
 // Serve registers a handler under a reserved host (sim-N.invalid). The
 // shared transport hands requests for a registered host straight to its
 // handler in a fresh goroutine: no listener, no socket, no request line or
-// header block written and re-parsed. Requests for any other host go
-// through Transport, a tuned http.Transport, so the client stack still
-// works against a real server (and the per-package tests keep exercising
-// it over TCP on httptest servers).
+// header block written and re-parsed, and no copy of the request or of
+// the response headers. A response body is buffered unless the handler
+// flushes. Requests for any other host go through Transport, a tuned
+// http.Transport, so the client stack still works against a real server
+// (and the per-package tests keep exercising it over TCP on httptest
+// servers).
 package httpx
 
 import (
@@ -18,12 +20,15 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"msgscope/internal/jsonx"
 )
 
 // Transport is the network transport for hosts Serve did not register.
@@ -123,10 +128,13 @@ func closeBody(req *http.Request) {
 	}
 }
 
-// roundTrip runs the handler on a server-shaped copy of req in its own
-// goroutine and returns once the handler has sent headers (its first
-// WriteHeader, Write or Flush) or returned. The body is streamed through
-// an io.Pipe, so every handler Write blocks until the client has read it.
+// roundTrip runs the handler on a shallow server-shaped copy of req in its
+// own goroutine, and returns at the handler's first Flush or when it
+// returns. Until it flushes, its body is buffered, so a handler that
+// never flushes (every service but the Twitter stream) hands the client
+// a complete response with a known ContentLength. The first Flush sends
+// the headers and switches the body to an io.Pipe: from then on every
+// Write blocks until the client has read it.
 func (s *server) roundTrip(req *http.Request) (*http.Response, error) {
 	s.mu.Lock()
 	if s.stopped {
@@ -139,8 +147,13 @@ func (s *server) roundTrip(req *http.Request) (*http.Response, error) {
 
 	reqCtx := req.Context()
 	ctx, cancel := context.WithCancel(reqCtx)
-	sreq := req.Clone(ctx)
-	sreq.URL.Scheme, sreq.URL.Host, sreq.URL.User = "", "", nil
+	w := &responseWriter{req: req, cancel: cancel, buf: jsonx.GetBuf(), ready: make(chan *http.Response, 1)}
+	// Handlers only read the header map, so it is shared; the URL is
+	// copied, so req comes back unmodified.
+	w.url = *req.URL
+	w.url.Scheme, w.url.Host, w.url.User = "", "", nil
+	sreq := req.WithContext(ctx)
+	sreq.URL = &w.url
 	sreq.RequestURI = req.URL.RequestURI()
 	if sreq.Host == "" {
 		sreq.Host = req.URL.Host
@@ -151,53 +164,30 @@ func (s *server) roundTrip(req *http.Request) (*http.Response, error) {
 		sreq.Body = http.NoBody
 	}
 
-	pr, pw := io.Pipe()
-	rw := &responseWriter{
-		header: http.Header{},
-		req:    req,
-		body:   &body{PipeReader: pr, cancel: cancel},
-		pw:     pw,
-		ready:  make(chan *http.Response, 1),
-	}
-	// A client that gives up unblocks both sides: its reads see the
-	// context error, the handler's writes fail. The callback is only
-	// registered for cancellable contexts (a study's requests mostly run
-	// on context.Background, so this saves an allocation per request) and
-	// is unregistered once the handler returns, so a request that
-	// completes spawns no extra goroutine.
-	stopAfter := func() bool { return false }
-	if reqCtx.Done() != nil {
-		stopAfter = context.AfterFunc(reqCtx, func() { pw.CloseWithError(reqCtx.Err()) })
-	}
-
 	go func() {
 		defer func() {
-			if p := recover(); p != nil {
-				if p != http.ErrAbortHandler {
-					log.Printf("httpx: panic serving %s: %v\n%s", sreq.RequestURI, p, debug.Stack())
-				}
-				if rw.resp == nil {
-					close(rw.ready)
-				}
-				pw.CloseWithError(io.ErrUnexpectedEOF)
-			} else {
-				rw.sendHeader()
-				// EOF, unless the client gave up first: then its reads
-				// see the context error whichever side got here first.
-				pw.CloseWithError(reqCtx.Err())
+			p := recover()
+			if p != nil && p != http.ErrAbortHandler {
+				log.Printf("httpx: panic serving %s: %v\n%s", sreq.RequestURI, p, debug.Stack())
 			}
-			stopAfter()
+			w.finish(p != nil)
 			cancel()
 			closeBody(req)
 			s.inflight.Done()
 		}()
-		s.h.ServeHTTP(rw, sreq)
+		s.h.ServeHTTP(w, sreq)
 	}()
 
 	select {
-	case resp, ok := <-rw.ready:
+	case resp, ok := <-w.ready:
 		if !ok {
 			return nil, errAborted
+		}
+		// A handler that returned because the client gave up readies its
+		// response together with the context: the context error wins.
+		if err := reqCtx.Err(); err != nil {
+			resp.Body.Close()
+			return nil, err
 		}
 		return resp, nil
 	case <-reqCtx.Done():
@@ -205,64 +195,152 @@ func (s *server) roundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
-// responseWriter is the handler's side of one in-process exchange.
+// responseWriter is the handler's side of one in-process exchange. It
+// also holds the Response and buffered body the client gets.
 type responseWriter struct {
-	header http.Header
-	req    *http.Request
-	body   *body
-	pw     *io.PipeWriter
-	resp   *http.Response
-	ready  chan *http.Response
+	req       *http.Request // the client's request
+	url       url.URL       // the handler's request URL
+	cancel    context.CancelFunc
+	header    http.Header
+	sent      bool // WriteHeader has filled resp
+	resp      http.Response
+	buf       *[]byte        // the body, pooled, until the first Flush
+	pw        *io.PipeWriter // the body from the first Flush on
+	stopAfter func() bool    // unregisters the pipe's context callback
+	body      bufBody
+	ready     chan *http.Response
 }
 
-func (w *responseWriter) Header() http.Header { return w.header }
+func (w *responseWriter) Header() http.Header {
+	if w.header == nil {
+		w.header = http.Header{}
+	}
+	return w.header
+}
 
+// WriteHeader snapshots the headers by moving the handler's map into the
+// response; a later Header call gets a fresh map that nothing reads.
 func (w *responseWriter) WriteHeader(code int) {
-	if w.resp != nil {
+	if w.sent {
 		return
 	}
 	if code < 100 || code > 999 {
 		panic(fmt.Sprintf("httpx: invalid WriteHeader code %v", code))
 	}
-	w.resp = &http.Response{
+	w.sent = true
+	w.resp = http.Response{
 		Status:        strconv.Itoa(code) + " " + http.StatusText(code),
 		StatusCode:    code,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        w.header.Clone(),
-		Body:          w.body,
-		ContentLength: -1, // unknown: the body is still being written
+		Header:        w.Header(),
+		ContentLength: -1, // unknown until the handler returns
 		Request:       w.req,
 	}
-	w.ready <- w.resp
-}
-
-// sendHeader sends the implicit 200 if the handler has not sent headers.
-func (w *responseWriter) sendHeader() {
-	if w.resp == nil {
-		w.WriteHeader(http.StatusOK)
-	}
+	w.header = nil
 }
 
 func (w *responseWriter) Write(p []byte) (int, error) {
-	w.sendHeader()
-	return w.pw.Write(p)
+	w.WriteHeader(http.StatusOK)
+	if w.pw != nil {
+		return w.pw.Write(p)
+	}
+	*w.buf = append(*w.buf, p...)
+	return len(p), nil
 }
 
-// Flush sends headers if they are not yet sent. The pipe holds no
-// buffered bytes — every Write has already reached the reader — so there
-// is nothing else to flush.
-func (w *responseWriter) Flush() { w.sendHeader() }
+// Flush sends the headers and switches the body to a pipe, writing the
+// buffered bytes into it first, so it returns once the client has read
+// them. Once streaming, every Write has reached the reader before it
+// returns, so there is nothing left to flush.
+func (w *responseWriter) Flush() {
+	if w.pw != nil {
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+	pr, pw := io.Pipe()
+	w.pw, w.stopAfter = pw, func() bool { return false }
+	w.resp.Body = &pipeBody{PipeReader: pr, cancel: w.cancel}
+	// A client that gives up unblocks both sides: its reads see the
+	// context error, the handler's writes fail. The callback is only
+	// registered for cancellable contexts and is unregistered once the
+	// handler returns.
+	if reqCtx := w.req.Context(); reqCtx.Done() != nil {
+		w.stopAfter = context.AfterFunc(reqCtx, func() { pw.CloseWithError(reqCtx.Err()) })
+	}
+	w.ready <- &w.resp
+	if len(*w.buf) > 0 {
+		pw.Write(*w.buf)
+	}
+	jsonx.PutBuf(w.buf)
+	w.buf = nil
+}
 
-// body is the client's side of the response stream. Closing it cancels
+// finish completes the exchange once the handler has returned or
+// panicked.
+func (w *responseWriter) finish(panicked bool) {
+	switch {
+	case w.pw != nil:
+		// EOF, unless the client gave up first: then its reads see the
+		// context error whichever side got here first.
+		err := w.req.Context().Err()
+		if panicked {
+			err = io.ErrUnexpectedEOF
+		}
+		w.pw.CloseWithError(err)
+		w.stopAfter()
+	case panicked && !w.sent:
+		jsonx.PutBuf(w.buf)
+		close(w.ready)
+	default:
+		w.WriteHeader(http.StatusOK)
+		w.body = bufBody{buf: w.buf, err: io.EOF}
+		if panicked {
+			w.body.err = io.ErrUnexpectedEOF
+		} else {
+			w.resp.ContentLength = int64(len(*w.buf))
+		}
+		w.resp.Body = &w.body
+		w.ready <- &w.resp
+	}
+}
+
+// bufBody is the client's side of a response whose handler returned
+// without flushing. Close returns the buffer to the pool, so a Read after
+// Close fails rather than return another response's bytes.
+type bufBody struct {
+	buf *[]byte // nil once closed
+	off int
+	err error // after the last byte: io.EOF, or io.ErrUnexpectedEOF for an aborted handler
+}
+
+func (b *bufBody) Read(p []byte) (int, error) {
+	switch {
+	case b.buf == nil:
+		return 0, http.ErrBodyReadAfterClose
+	case b.off == len(*b.buf):
+		return 0, b.err
+	}
+	n := copy(p, (*b.buf)[b.off:])
+	b.off += n
+	return n, nil
+}
+
+func (b *bufBody) Close() error {
+	jsonx.PutBuf(b.buf)
+	b.buf = nil
+	return nil
+}
+
+// pipeBody is the client's side of a flushed response. Closing it cancels
 // the handler's context and fails the handler's further writes.
-type body struct {
+type pipeBody struct {
 	*io.PipeReader
 	cancel context.CancelFunc
 }
 
-func (b *body) Close() error {
+func (b *pipeBody) Close() error {
 	b.PipeReader.Close()
 	b.cancel()
 	return nil

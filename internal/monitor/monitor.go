@@ -102,17 +102,26 @@ func (m *Monitor) DailySweep(ctx context.Context, now time.Time) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A batch's observations are ingested together, under one
+			// acquisition of the store's group lock.
+			var codes []string
+			var obs []store.Observation
 			for js := range ch {
+				codes, obs = codes[:0], obs[:0]
 				for _, j := range js {
-					if err := m.probe(ctx, j.p, j.code, now); err != nil {
+					o, err := m.probe(ctx, j.p, j.code, now)
+					if err != nil {
 						// A failed probe — even a systematic outage — must not
 						// abort the sweep: the group is marked deferred, has no
 						// observation today, and is probed again on the next
 						// sweep. Nothing is silently dropped.
 						m.stats.deferred.Add(1)
 						m.Store.MarkDeferred(j.p, j.code, "monitor")
+						continue
 					}
+					codes, obs = append(codes, j.code), append(obs, o)
 				}
+				m.Store.AddObservationBatch(js[0].p, codes, obs)
 			}
 		}()
 	}
@@ -137,8 +146,9 @@ func (m *Monitor) DailySweep(ctx context.Context, now time.Time) error {
 	return nil
 }
 
-// probe performs one platform-specific metadata fetch.
-func (m *Monitor) probe(ctx context.Context, p platform.Platform, code string, now time.Time) error {
+// probe performs one platform-specific metadata fetch and returns the
+// observation for the caller to ingest.
+func (m *Monitor) probe(ctx context.Context, p platform.Platform, code string, now time.Time) (store.Observation, error) {
 	var obs store.Observation
 	obs.At = now
 	var err error
@@ -150,12 +160,12 @@ func (m *Monitor) probe(ctx context.Context, p platform.Platform, code string, n
 	case platform.Discord:
 		err = m.probeDiscord(ctx, code, &obs)
 	default:
-		return fmt.Errorf("monitor: unknown platform %v", p)
+		return obs, fmt.Errorf("monitor: unknown platform %v", p)
 	}
 	m.stats.probes.Add(1)
 	if err != nil {
 		m.stats.errors.Add(1)
-		return err
+		return obs, err
 	}
 	if obs.Alive {
 		m.stats.aliveProbes.Add(1)
@@ -165,8 +175,7 @@ func (m *Monitor) probe(ctx context.Context, p platform.Platform, code string, n
 		m.dead[p.String()+"/"+code] = true
 		m.mu.Unlock()
 	}
-	m.Store.AddObservation(p, code, obs)
-	return nil
+	return obs, nil
 }
 
 func (m *Monitor) probeWhatsApp(ctx context.Context, code string, obs *store.Observation) error {

@@ -182,12 +182,10 @@ func BenchmarkStoreIngest(b *testing.B) {
 		buildStore := func() any {
 			s := New()
 			rng := benchPCG(42)
-			for done := 0; done < n; done += len(batch) {
-				if rem := n - done; rem < len(batch) {
-					batch = batch[:rem]
-				}
-				textBuf = fillTweetBatch(batch, &rng, base, uint64(done+1), n, textBuf)
-				s.AddTweetBatch(batch)
+			for done := 0; done < n; done += ingestBatchSize {
+				chunk := batch[:min(ingestBatchSize, n-done)]
+				textBuf = fillTweetBatch(chunk, &rng, base, uint64(done+1), n, textBuf)
+				s.AddTweetBatch(chunk)
 			}
 			return s
 		}
@@ -209,12 +207,10 @@ func BenchmarkStoreIngest(b *testing.B) {
 		buildStore := func() any {
 			s := New()
 			rng := benchPCG(43)
-			for done := 0; done < n; done += len(batch) {
-				if rem := n - done; rem < len(batch) {
-					batch = batch[:rem]
-				}
-				fillMessageBatch(batch, &rng, base, uint64(done), n)
-				s.AddMessageBatch(batch)
+			for done := 0; done < n; done += ingestBatchSize {
+				chunk := batch[:min(ingestBatchSize, n-done)]
+				fillMessageBatch(chunk, &rng, base, uint64(done), n)
+				s.AddMessageBatch(chunk)
 			}
 			return s
 		}
@@ -335,12 +331,10 @@ func BenchmarkStoreIngest(b *testing.B) {
 		buildStore := func() any {
 			s := New()
 			rng := benchPCG(44)
-			for done := 0; done < n; done += len(batch) {
-				if rem := n - done; rem < len(batch) {
-					batch = batch[:rem]
-				}
-				fillUserBatch(batch, &rng, n)
-				s.UpsertUserBatch(batch)
+			for done := 0; done < n; done += ingestBatchSize {
+				chunk := batch[:min(ingestBatchSize, n-done)]
+				fillUserBatch(chunk, &rng, n)
+				s.UpsertUserBatch(chunk)
 			}
 			return s
 		}

@@ -369,12 +369,22 @@ func (s *Store) SetCanonical(p platform.Platform, code, canonical string) {
 // AddObservation appends a daily probe to a group's series and clears any
 // deferral. Unknown keys are a no-op, as with the mutation closures.
 func (s *Store) AddObservation(p platform.Platform, code string, o Observation) {
+	s.AddObservationBatch(p, []string{code}, []Observation{o})
+}
+
+// AddObservationBatch appends obs[i] to the series of group (p, codes[i])
+// for every i, in order, under one acquisition of the group family lock,
+// with AddObservation's per-probe semantics: each observed group's
+// deferral is cleared, unknown keys are skipped.
+func (s *Store) AddObservationBatch(p platform.Platform, codes []string, obs []Observation) {
 	gt := s.groups
 	gt.mu.Lock()
-	if row, ok := gt.m[groupKey{p, code}]; ok {
-		gt.appendObsLocked(row, &o)
-		gt.flags[row] &^= gfDeferred
-		gt.deferReason[row] = 0
+	for i, code := range codes {
+		if row, ok := gt.m[groupKey{p, code}]; ok {
+			gt.appendObsLocked(row, &obs[i])
+			gt.flags[row] &^= gfDeferred
+			gt.deferReason[row] = 0
+		}
 	}
 	gt.mu.Unlock()
 }

@@ -1,7 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -244,5 +249,73 @@ func TestPostsPersistAcrossSaveLoad(t *testing.T) {
 	}
 	if len(loaded.Posts()) != 1 || loaded.Posts()[0].Author != "x" {
 		t.Fatalf("posts lost on reload: %+v", loaded.Posts())
+	}
+}
+
+// TestAddObservationBatchMatchesPerCall runs the same daily sweeps into two
+// stores, one probe per AddObservation call and one batch per
+// AddObservationBatch call (deferrals marked per probe in both, as the
+// monitor does), and requires the same snapshot and the same saved
+// dataset.
+func TestAddObservationBatchMatchesPerCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	plats := []platform.Platform{platform.WhatsApp, platform.Telegram, platform.Discord}
+	perCall, batched := New(), New()
+	var tweets []TweetIngest
+	for _, p := range plats {
+		for i := 0; i < 12; i++ {
+			tweets = append(tweets, TweetIngest{Tweet: tweet(uint64(len(tweets)+1), p, fmt.Sprintf("g%02d", i), SourceSearch)})
+		}
+	}
+	perCall.AddTweetBatch(tweets)
+	batched.AddTweetBatch(tweets)
+
+	for day := 0; day < 10; day++ {
+		at := t0.AddDate(0, 0, day)
+		for _, p := range plats {
+			var codes []string
+			var obs []Observation
+			for _, i := range rng.Perm(13) {
+				code := fmt.Sprintf("g%02d", i) // g12 was never discovered
+				if rng.Intn(5) == 0 {
+					perCall.MarkDeferred(p, code, "monitor")
+					batched.MarkDeferred(p, code, "monitor")
+					continue
+				}
+				o := Observation{At: at, Alive: rng.Intn(6) != 0}
+				if o.Alive {
+					o.Title, o.Members, o.Online = "title "+code, rng.Intn(500), rng.Intn(50)
+				}
+				perCall.AddObservation(p, code, o)
+				codes, obs = append(codes, code), append(obs, o)
+				if rng.Intn(4) == 0 { // end of a worker's batch
+					batched.AddObservationBatch(p, codes, obs)
+					codes, obs = codes[:0], obs[:0]
+				}
+			}
+			batched.AddObservationBatch(p, codes, obs)
+		}
+	}
+
+	a, b := perCall.Snapshot(t0, 10).Groups, batched.Snapshot(t0, 10).Groups
+	if a.Len() != b.Len() || a.Len() != len(tweets) {
+		t.Fatalf("%d and %d groups, want %d", a.Len(), b.Len(), len(tweets))
+	}
+	for i := 0; i < a.Len(); i++ {
+		if ra, rb := a.Record(i), b.Record(i); !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("group %d: per call %+v, batched %+v", i, ra, rb)
+		}
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	if err := perCall.Save(dirA); err != nil {
+		t.Fatal(err)
+	}
+	if err := batched.Save(dirB); err != nil {
+		t.Fatal(err)
+	}
+	ga, errA := os.ReadFile(filepath.Join(dirA, "groups.jsonl"))
+	gb, errB := os.ReadFile(filepath.Join(dirB, "groups.jsonl"))
+	if errA != nil || errB != nil || !bytes.Equal(ga, gb) {
+		t.Fatalf("groups.jsonl differs (%v, %v)", errA, errB)
 	}
 }
