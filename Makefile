@@ -19,11 +19,14 @@ fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The second pass repeats the in-process transport's tests: its response
-# buffers are pooled and reused, a hazard one race pass can miss.
+# The later passes repeat the tests of code that pools and reuses buffers,
+# a hazard one race pass can miss: the in-process transport's response
+# buffers, and the history handlers' generator scratch and the history
+# pagers' page buffers that message collection runs through.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 ./internal/httpx
+	$(GO) test -race -count=10 ./internal/platform/discord ./internal/platform/telegram ./internal/join
 
 # One pass over every benchmark (correctness + headline numbers, not
 # stable timings; use `go test -bench=. -benchmem .` for real measurement).
@@ -31,10 +34,10 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # Pipeline + analysis + store benchmarks (full study, hourly search, daily
-# sweep, LDA fit + K×vocab kernel sweep, cold figure aggregation, columnar
-# ingest; serial vs parallel where both exist, plus the checkpointed study
-# variant whose delta over plain parallel is the cost of
-# crash-resumability) rendered to the next BENCH_<n>.json (earlier
+# sweep, message collection, LDA fit + K×vocab kernel sweep, cold figure
+# aggregation, columnar ingest; serial vs parallel where both exist, plus
+# the checkpointed study variant whose delta over plain parallel is the
+# cost of crash-resumability) rendered to the next BENCH_<n>.json (earlier
 # documents are kept as history), including the derived
 # speedups, custom metrics (ns/rec, liveB/rec, tok/s, and the spill
 # benchmark's peakRSS-MB / heapLive-MB / segDisk-MB) and the machine's
@@ -43,7 +46,7 @@ bench:
 # measurements behind the SearchWorkers/CollectWorkers defaults and the
 # LDA chunk-merge speedup (BenchmarkLDAFit/alias/parallel per CPU count),
 # measured rather than assumed.
-BENCH_PATTERN = StudyRun|HourlySearch|DailySweep|LDAFit|LDASweep|RenderAll|StoreIngest
+BENCH_PATTERN = StudyRun|HourlySearch|DailySweep|CollectMessages|LDAFit|LDASweep|RenderAll|StoreIngest
 BENCH_PKGS = ./internal/core ./internal/analysis/lda ./internal/store
 BENCH_CPUS = 1,2
 

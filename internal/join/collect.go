@@ -27,8 +27,9 @@ func defaultCollectWorkers() int {
 }
 
 // gathered is one group's collection output, buffered locally by a worker
-// and ingested afterwards in deterministic group order. Messages keep the
-// exact-size pages they arrived in, so a long history is never regrown.
+// and ingested afterwards in deterministic group order. Each page the pager
+// returns is converted at its exact size before the next is fetched, so a
+// long history is never regrown.
 type gathered struct {
 	pages [][]store.MessageRecord
 	users []store.UserRecord
@@ -158,10 +159,16 @@ func (j *Joiner) CollectMessages(ctx context.Context) error {
 		return err
 	}
 
+	// One ingest call lets an unbudgeted store size its message columns
+	// once. Users follow in the same group order: they are a separate
+	// family, and their merge is commutative, so the store ends as it
+	// would ingesting group by group.
+	var pages [][]store.MessageRecord
 	for i := range results {
-		for _, page := range results[i].pages {
-			j.Store.AddMessageBatch(page)
-		}
+		pages = append(pages, results[i].pages...)
+	}
+	j.Store.AddMessageBatch(pages...)
+	for i := range results {
 		j.Store.UpsertUserBatch(results[i].users)
 	}
 	return nil

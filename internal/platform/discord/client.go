@@ -235,6 +235,7 @@ type MessagePager struct {
 	chID   uint64
 	before uint64
 	done   bool
+	page   []Message // reused by every Next
 }
 
 // MessagePager returns a pager over the channel's full history.
@@ -252,7 +253,9 @@ func (c *Client) MessagePagerBefore(channelID, before uint64) *MessagePager {
 // Done reports whether the history is exhausted.
 func (p *MessagePager) Done() bool { return p.done }
 
-// Next fetches one page (newest remaining first).
+// Next fetches one page (newest remaining first). The page is decoded into
+// a buffer the pager reuses, so it is valid only until the next call to
+// Next; copy out what must outlive it.
 func (p *MessagePager) Next(ctx context.Context) ([]Message, error) {
 	if p.done {
 		return nil, nil
@@ -261,18 +264,19 @@ func (p *MessagePager) Next(ctx context.Context) ([]Message, error) {
 	if p.before != 0 {
 		path += "&before=" + strconv.FormatUint(p.before, 10)
 	}
-	var out []Message
 	var count int
 	err := p.c.doParse(ctx, http.MethodGet, path, func(body []byte) error {
+		// Every attempt starts from an empty page, so a malformed body
+		// leaves no rows behind for its retry.
 		var perr error
-		out, count, perr = parseMessagePage(body, p.c.interner)
+		p.page, count, perr = parseMessagePage(p.page[:0], body, p.c.interner)
 		return perr
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(out) > 0 {
-		last := out[len(out)-1].ID
+	if len(p.page) > 0 {
+		last := p.page[len(p.page)-1].ID
 		if p.before != 0 && last >= p.before {
 			p.done = true
 			return nil, fmt.Errorf("%w: channel %d, before=%d", ErrCursorStalled, p.chID, p.before)
@@ -282,20 +286,21 @@ func (p *MessagePager) Next(ctx context.Context) ([]Message, error) {
 	if count < 100 {
 		p.done = true
 	}
-	return out, nil
+	return p.page, nil
 }
 
-// parseMessagePage decodes one channel-messages page. Snowflake IDs are
-// folded straight from the quoted digit strings, usernames and message
-// types are interned, content is copied. A null body (empty history)
-// decodes as zero messages, matching encoding/json on a nil slice.
-func parseMessagePage(body []byte, in *ids.Interner) ([]Message, int, error) {
+// parseMessagePage decodes one channel-messages page, appending its
+// messages to dst. Snowflake IDs are folded straight from the quoted digit
+// strings, usernames and message types are interned, content is copied. A
+// null body (empty history) decodes as zero messages, matching
+// encoding/json on a nil slice. On error the returned slice holds dst and
+// whatever rows decoded before the fault.
+func parseMessagePage(dst []Message, body []byte, in *ids.Interner) ([]Message, int, error) {
 	var d jsonx.Dec
 	d.Reset(body)
 	if d.Null() {
-		return nil, 0, d.End()
+		return dst, 0, d.End()
 	}
-	var out []Message
 	count := 0
 	err := d.Arr(func() error {
 		var m Message
@@ -352,13 +357,13 @@ func parseMessagePage(body []byte, in *ids.Interner) ([]Message, int, error) {
 		}); err != nil {
 			return err
 		}
-		out = append(out, m)
+		dst = append(dst, m)
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
-	return out, count, d.End()
+	return dst, count, d.End()
 }
 
 // foldU64 parses an unsigned decimal from b without going through a
@@ -439,26 +444,6 @@ func parseRFC3339(b []byte) (time.Time, error) {
 		return t.UTC(), nil
 	}
 	return time.Date(year, time.Month(month), day, hh, mm, ss, nsec, time.UTC), nil
-}
-
-// Messages pages backwards through a channel's entire history, up to
-// maxMessages (0 = unlimited).
-func (c *Client) Messages(ctx context.Context, channelID uint64, maxMessages int) ([]Message, error) {
-	var out []Message
-	p := c.MessagePager(channelID)
-	for !p.Done() {
-		page, err := p.Next(ctx)
-		if err != nil {
-			return out, err
-		}
-		for _, m := range page {
-			out = append(out, m)
-			if maxMessages > 0 && len(out) >= maxMessages {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
 }
 
 // Profile is a user profile with connected accounts.

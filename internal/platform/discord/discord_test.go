@@ -8,7 +8,9 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,6 +103,21 @@ func TestBotsCannotJoin(t *testing.T) {
 	}
 }
 
+// allMessages pages backwards through a channel's entire history, copying
+// each page out before the next Next reuses it.
+func allMessages(ctx context.Context, c *Client, channelID uint64) ([]Message, error) {
+	var out []Message
+	p := c.MessagePager(channelID)
+	for !p.Done() {
+		page, err := p.Next(ctx)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, page...)
+	}
+	return out, nil
+}
+
 func TestJoinChannelsMessagesProfiles(t *testing.T) {
 	f := newFixture(t, DefaultServiceConfig())
 	g := f.pick(t, func(g *simworld.Group) bool {
@@ -122,7 +139,7 @@ func TestJoinChannelsMessagesProfiles(t *testing.T) {
 	var total int
 	var anyAuthor uint64
 	for _, ch := range chs {
-		msgs, err := c.Messages(ctx, ch.ID, 0)
+		msgs, err := allMessages(ctx, c, ch.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,5 +506,68 @@ func TestMessagePagerStalledCursor(t *testing.T) {
 	}
 	if !p.Done() {
 		t.Fatal("pager not done after a stalled cursor")
+	}
+}
+
+// TestMessagePagerRetryStartsFromEmptyPage: the first attempt at each page
+// gets a body that decodes some rows and then fails (truncated, then a
+// malformed row), and the retry gets the good page. Next must return
+// exactly the good page: no rows of the failed attempt, and none left in
+// the reused buffer by the previous, longer page.
+func TestMessagePagerRetryStartsFromEmptyPage(t *testing.T) {
+	sent := time.Unix(1600000000, 0).UTC()
+	encode := func(newest uint64, n int) []byte {
+		b := []byte{'['}
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendMessageOut(b, newest-uint64(i), uint64(i%7), "u", sent.Add(-time.Duration(i)*time.Second), "text", "")
+		}
+		return append(b, ']')
+	}
+	good := map[string][]byte{"": encode(1000, 100), "901": encode(900, 30)}
+	bad := map[string][]byte{
+		"":    good[""][:len(good[""])*2/3],
+		"901": append(slices.Clip(good["901"][:len(good["901"])-1]), `,{"id":"x"}]`...),
+	}
+	var mu sync.Mutex
+	attempts := map[string]int{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		before := r.URL.Query().Get("before")
+		mu.Lock()
+		attempts[before]++
+		first := attempts[before] == 1
+		mu.Unlock()
+		if first {
+			w.Write(bad[before])
+			return
+		}
+		w.Write(good[before])
+	}))
+	defer srv.Close()
+
+	p := NewClient(srv.URL, "acct").MessagePager(1)
+	for _, before := range []string{"", "901"} {
+		want, _, err := parseMessagePage(nil, good[before], ids.NewInterner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part, _, err := parseMessagePage(nil, bad[before], ids.NewInterner()); err == nil || len(part) == 0 {
+			t.Fatalf("before=%q: bad body decodes %d rows, err %v; want some rows, then an error", before, len(part), err)
+		}
+		got, err := p.Next(context.Background())
+		if err != nil {
+			t.Fatalf("before=%q: %v", before, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("before=%q: Next returned %d messages, want the good page's %d", before, len(got), len(want))
+		}
+	}
+	if !p.Done() {
+		t.Fatal("pager not done after a short page")
+	}
+	if attempts[""] != 2 || attempts["901"] != 2 {
+		t.Fatalf("attempts per page = %v, want 2 each", attempts)
 	}
 }

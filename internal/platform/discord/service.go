@@ -400,9 +400,11 @@ func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Walk this channel back one calendar day (one world stream) at a
-	// time until the page fills, append-encoding each message straight
-	// into a pooled buffer. An empty page must render as null: the old
-	// code marshalled a nil []msgOut slice.
+	// time until the page fills, generating each day into pooled scratch
+	// and append-encoding each message straight into a pooled buffer. An
+	// empty page must render as null: the old code marshalled a nil
+	// []msgOut slice.
+	sp := msgScratch.Get().(*[]simworld.Message)
 	bp := jsonx.GetBuf()
 	buf := (*bp)[:0]
 	buf = append(buf, '[')
@@ -413,7 +415,8 @@ func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
 		if from.Before(floor) {
 			from = floor
 		}
-		msgs := s.world.Messages(g, ref.idx, from, cursor)
+		msgs := s.world.AppendMessages((*sp)[:0], g, ref.idx, from, cursor)
+		*sp = msgs
 		for i := len(msgs) - 1; i >= 0 && n < limit; i-- {
 			m := &msgs[i]
 			u := s.world.UserByIdx(platform.Discord, m.AuthorIdx)
@@ -442,7 +445,12 @@ func (s *Service) handleMessages(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf)
 	*bp = buf
 	jsonx.PutBuf(bp)
+	msgScratch.Put(sp)
 }
+
+// msgScratch holds the buffers history requests generate their
+// channel-days into; a buffer serves one request at a time.
+var msgScratch = sync.Pool{New: func() any { return new([]simworld.Message) }}
 
 // appendMessageOut renders one history message byte-identically to the
 // json.Marshal encoding of the former msgOut struct.

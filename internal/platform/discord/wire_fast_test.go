@@ -103,7 +103,7 @@ func TestParseMessagePageRoundTrip(t *testing.T) {
 	body := append(appendMessageOut([]byte(`[`), 101, 202, "ana", sent, "text", "oi"), ',')
 	body = append(appendMessageOut(body, 103, 204, "bob", sent.Add(time.Second), "join", ""), ']', '\n')
 	in := ids.NewInterner()
-	got, count, err := parseMessagePage(body, in)
+	got, count, err := parseMessagePage(nil, body, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestParseMessagePageRoundTrip(t *testing.T) {
 	}
 
 	// A null page (nil slice server-side) is zero messages.
-	if msgs, count, err := parseMessagePage([]byte("null\n"), in); err != nil || count != 0 || msgs != nil {
+	if msgs, count, err := parseMessagePage(nil, []byte("null\n"), in); err != nil || count != 0 || msgs != nil {
 		t.Fatalf("null page: msgs=%v count=%d err=%v", msgs, count, err)
 	}
 }
@@ -129,7 +129,7 @@ func TestParseMessagePageRoundTrip(t *testing.T) {
 func TestParseMessagePageMalformed(t *testing.T) {
 	in := ids.NewInterner()
 	for _, body := range []string{`{"truncated`, `[{"id":"1"`, `[] extra`, ``, `[{"id":"x"}]`} {
-		if _, _, err := parseMessagePage([]byte(body), in); err == nil {
+		if _, _, err := parseMessagePage(nil, []byte(body), in); err == nil {
 			t.Errorf("body %q parsed without error", body)
 		}
 	}
@@ -156,5 +156,31 @@ func TestParseRFC3339Fallbacks(t *testing.T) {
 	}
 	if _, err := parseRFC3339([]byte("garbage")); err == nil {
 		t.Error("garbage timestamp accepted")
+	}
+}
+
+// TestParseMessagePageAllocs bounds decoding a full page into a warm page
+// buffer with a warm interner and empty contents: IDs, times and types
+// decode in place and the page slice is reused, so nothing is allocated.
+func TestParseMessagePageAllocs(t *testing.T) {
+	sent := time.Date(2020, 4, 8, 13, 37, 42, 123000000, time.UTC)
+	body := []byte{'['}
+	for i := 0; i < 100; i++ {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = appendMessageOut(body, uint64(900000-i), uint64(i%9), "user"+strconv.Itoa(i%9), sent.Add(-time.Duration(i)*time.Minute), "text", "")
+	}
+	body = append(body, ']', '\n')
+	in := ids.NewInterner()
+	page, count, err := parseMessagePage(nil, body, in)
+	if err != nil || count != 100 {
+		t.Fatalf("warm-up: count %d, err %v", count, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		page, _, _ = parseMessagePage(page[:0], body, in)
+	})
+	if allocs > 0 {
+		t.Errorf("decoding a 100-message page allocated %.1f objects/op, want 0", allocs)
 	}
 }

@@ -284,6 +284,7 @@ type HistoryPager struct {
 	code   string
 	offset int64
 	done   bool
+	page   []Message // reused by every Next
 }
 
 // HistoryPager returns a pager over the chat's full history.
@@ -304,7 +305,9 @@ func (c *Client) HistoryPagerAt(code string, until time.Time) *HistoryPager {
 func (p *HistoryPager) Done() bool { return p.done }
 
 // Next fetches one page (newest remaining first). It returns an empty page
-// with Done()==true at the end of history.
+// with Done()==true at the end of history. The page is decoded into a
+// buffer the pager reuses, so it is valid only until the next call to
+// Next; copy out what must outlive it.
 func (p *HistoryPager) Next(ctx context.Context) ([]Message, error) {
 	if p.done {
 		return nil, nil
@@ -313,11 +316,12 @@ func (p *HistoryPager) Next(ctx context.Context) ([]Message, error) {
 	if p.offset != 0 {
 		u += "&offset_date_ms=" + strconv.FormatInt(p.offset, 10)
 	}
-	var out []Message
 	var next int64
 	err := p.c.apiDoParse(ctx, http.MethodGet, u, func(body []byte) error {
+		// Every attempt starts from an empty page, so a malformed body
+		// leaves no rows behind for its retry.
 		var perr error
-		out, next, perr = parseHistoryPage(body, p.c.interner)
+		p.page, next, perr = parseHistoryPage(p.page[:0], body, p.c.interner)
 		return perr
 	})
 	if err != nil {
@@ -328,16 +332,16 @@ func (p *HistoryPager) Next(ctx context.Context) ([]Message, error) {
 	} else {
 		p.offset = next
 	}
-	return out, nil
+	return p.page, nil
 }
 
-// parseHistoryPage decodes one /api/history page. Message types are
-// interned (a handful of distinct values across millions of messages);
-// only text bodies are copied.
-func parseHistoryPage(body []byte, in *ids.Interner) ([]Message, int64, error) {
+// parseHistoryPage decodes one /api/history page, appending its messages
+// to dst. Message types are interned (a handful of distinct values across
+// millions of messages); only text bodies are copied. On error the
+// returned slice holds dst and whatever rows decoded before the fault.
+func parseHistoryPage(dst []Message, body []byte, in *ids.Interner) ([]Message, int64, error) {
 	var d jsonx.Dec
 	d.Reset(body)
-	var msgs []Message
 	var next int64
 	err := d.Obj(func(key []byte) error {
 		switch string(key) {
@@ -372,7 +376,7 @@ func parseHistoryPage(body []byte, in *ids.Interner) ([]Message, int64, error) {
 					return err
 				}
 				m.SentAt = time.UnixMilli(dateMS).UTC()
-				msgs = append(msgs, m)
+				dst = append(dst, m)
 				return nil
 			})
 		case "next_offset_date_ms":
@@ -383,29 +387,9 @@ func parseHistoryPage(body []byte, in *ids.Interner) ([]Message, int64, error) {
 		return d.Skip()
 	})
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
-	return msgs, next, d.End()
-}
-
-// History pages backwards through the chat's entire history (since
-// creation), up to maxMessages (0 = unlimited).
-func (c *Client) History(ctx context.Context, code string, maxMessages int) ([]Message, error) {
-	var out []Message
-	p := c.HistoryPager(code)
-	for !p.Done() {
-		page, err := p.Next(ctx)
-		if err != nil {
-			return out, err
-		}
-		for _, m := range page {
-			out = append(out, m)
-			if maxMessages > 0 && len(out) >= maxMessages {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
+	return dst, next, d.End()
 }
 
 // Participant is one member profile; Phone is empty unless the user opted

@@ -313,8 +313,9 @@ func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Generate backwards one calendar day at a time (the world's stream
-	// granularity) until the page fills, newest first, append-encoding
-	// each message straight into a pooled buffer.
+	// granularity) into pooled scratch until the page fills, newest first,
+	// append-encoding each message straight into a pooled buffer.
+	sp := msgScratch.Get().(*[]simworld.Message)
 	bp := jsonx.GetBuf()
 	buf := append((*bp)[:0], historyOpen...)
 	n := 0
@@ -326,7 +327,8 @@ func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request) {
 			from = g.CreatedAt
 		}
 		// Telegram chats are a single room: channel 0.
-		msgs := s.world.Messages(g, 0, from, cursor)
+		msgs := s.world.AppendMessages((*sp)[:0], g, 0, from, cursor)
+		*sp = msgs
 		for i := len(msgs) - 1; i >= 0 && n < limit; i-- {
 			m := &msgs[i]
 			u := s.world.UserByIdx(platform.Telegram, m.AuthorIdx)
@@ -344,7 +346,12 @@ func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf)
 	*bp = buf
 	jsonx.PutBuf(bp)
+	msgScratch.Put(sp)
 }
+
+// msgScratch holds the buffers history requests generate their
+// channel-days into; a buffer serves one request at a time.
+var msgScratch = sync.Pool{New: func() any { return new([]simworld.Message) }}
 
 // A history page renders byte-identically to
 // json.NewEncoder(w).Encode(map[string]any{"messages": msgs, ...}) of

@@ -8,10 +8,13 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"msgscope/internal/ids"
 	"msgscope/internal/platform"
 	"msgscope/internal/simclock"
 	"msgscope/internal/simworld"
@@ -96,6 +99,21 @@ func TestPreviewDead(t *testing.T) {
 	}
 }
 
+// allHistory pages backwards through a chat's entire history, copying
+// each page out before the next Next reuses it.
+func allHistory(ctx context.Context, c *Client, code string) ([]Message, error) {
+	var out []Message
+	p := c.HistoryPager(code)
+	for !p.Done() {
+		page, err := p.Next(ctx)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, page...)
+	}
+	return out, nil
+}
+
 func TestJoinAndHistorySinceCreation(t *testing.T) {
 	f := newFixture(t, DefaultServiceConfig())
 	g := f.pick(t, func(g *simworld.Group) bool {
@@ -114,7 +132,7 @@ func TestJoinAndHistorySinceCreation(t *testing.T) {
 	if !info.CreatedAt.Equal(g.CreatedAt.Truncate(time.Millisecond)) {
 		t.Fatalf("creation date %v, want %v", info.CreatedAt, g.CreatedAt)
 	}
-	msgs, err := c.History(ctx, g.Code, 0)
+	msgs, err := allHistory(ctx, c, g.Code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +229,7 @@ func TestNotMemberHistory(t *testing.T) {
 	f := newFixture(t, DefaultServiceConfig())
 	g := f.pick(t, f.alive)
 	c := NewClient(f.srv.URL, "acct")
-	if _, err := c.History(context.Background(), g.Code, 0); !errors.Is(err, ErrNotMember) {
+	if _, err := allHistory(context.Background(), c, g.Code); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("err = %v, want ErrNotMember", err)
 	}
 }
@@ -374,5 +392,71 @@ func TestHistoryPageBytesAtMidDayOffsets(t *testing.T) {
 	}
 	if fetched == 0 {
 		t.Fatal("no pages fetched")
+	}
+}
+
+// TestHistoryPagerRetryStartsFromEmptyPage: the first attempt at each page
+// gets a body that decodes some rows and then fails (truncated, then a
+// malformed row), and the retry gets the good page. Next must return
+// exactly the good page: no rows of the failed attempt, and none left in
+// the reused buffer by the previous, longer page.
+func TestHistoryPagerRetryStartsFromEmptyPage(t *testing.T) {
+	const next = 1586340000000
+	encode := func(newestMS int64, n int, hasNext bool) []byte {
+		b := []byte(historyOpen)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendHistoryMessage(b, uint64(1000+i%9), newestMS-int64(i)*60000, "text", "")
+		}
+		return appendHistoryEnd(b, next, hasNext)
+	}
+	offset := strconv.FormatInt(next, 10)
+	good := map[string][]byte{"": encode(1586350000000, 100, true), offset: encode(next-60000, 30, false)}
+	last := good[offset]
+	bad := map[string][]byte{
+		"": good[""][:len(good[""])*2/3],
+		// Re-close the short page after a row whose from_id is a string.
+		offset: append(slices.Clip(last[:bytes.LastIndexByte(last, ']')]), `,{"from_id":"x"}]}`...),
+	}
+	var mu sync.Mutex
+	attempts := map[string]int{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		at := r.URL.Query().Get("offset_date_ms")
+		mu.Lock()
+		attempts[at]++
+		first := attempts[at] == 1
+		mu.Unlock()
+		if first {
+			w.Write(bad[at])
+			return
+		}
+		w.Write(good[at])
+	}))
+	defer srv.Close()
+
+	p := NewClient(srv.URL, "acct").HistoryPager("chat")
+	for _, at := range []string{"", offset} {
+		want, _, err := parseHistoryPage(nil, good[at], ids.NewInterner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part, _, err := parseHistoryPage(nil, bad[at], ids.NewInterner()); err == nil || len(part) == 0 {
+			t.Fatalf("offset=%q: bad body decodes %d rows, err %v; want some rows, then an error", at, len(part), err)
+		}
+		got, err := p.Next(context.Background())
+		if err != nil {
+			t.Fatalf("offset=%q: %v", at, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("offset=%q: Next returned %d messages, want the good page's %d", at, len(got), len(want))
+		}
+	}
+	if !p.Done() {
+		t.Fatal("pager not done after the last page")
+	}
+	if attempts[""] != 2 || attempts[offset] != 2 {
+		t.Fatalf("attempts per page = %v, want 2 each", attempts)
 	}
 }

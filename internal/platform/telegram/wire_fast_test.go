@@ -74,7 +74,7 @@ func TestParseHistoryPageRoundTrip(t *testing.T) {
 	}
 	body := appendHistoryResponse(nil, msgs, 1554000000000, true)
 	in := ids.NewInterner()
-	got, next, err := parseHistoryPage(body, in)
+	got, next, err := parseHistoryPage(nil, body, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestParseHistoryPageRoundTrip(t *testing.T) {
 	}
 	// Last page: no next_offset_date_ms.
 	body = appendHistoryResponse(nil, msgs[:1], 0, false)
-	if _, next, err = parseHistoryPage(body, in); err != nil || next != 0 {
+	if _, next, err = parseHistoryPage(nil, body, in); err != nil || next != 0 {
 		t.Fatalf("last page: next=%d err=%v", next, err)
 	}
 }
@@ -112,8 +112,30 @@ func TestParseHistoryPageMalformed(t *testing.T) {
 		`{"messages":[]} extra`,
 		``,
 	} {
-		if _, _, err := parseHistoryPage([]byte(body), in); err == nil {
+		if _, _, err := parseHistoryPage(nil, []byte(body), in); err == nil {
 			t.Errorf("body %q parsed without error", body)
 		}
+	}
+}
+
+// TestParseHistoryPageAllocs bounds decoding a full page into a warm page
+// buffer with a warm interner and empty texts: IDs, times and types
+// decode in place and the page slice is reused, so nothing is allocated.
+func TestParseHistoryPageAllocs(t *testing.T) {
+	msgs := make([]messageJSON, 100)
+	for i := range msgs {
+		msgs[i] = messageJSON{FromID: uint64(1000 + i%9), DateMS: 1586350000000 - int64(i)*60000, Type: "text"}
+	}
+	body := appendHistoryResponse(nil, msgs, 1586340000000, true)
+	in := ids.NewInterner()
+	page, _, err := parseHistoryPage(nil, body, in)
+	if err != nil || len(page) != 100 {
+		t.Fatalf("warm-up: %d messages, err %v", len(page), err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		page, _, _ = parseHistoryPage(page[:0], body, in)
+	})
+	if allocs > 0 {
+		t.Errorf("decoding a 100-message page allocated %.1f objects/op, want 0", allocs)
 	}
 }

@@ -91,17 +91,23 @@ const msgTextTag = 0x74657874
 // from its own (channel, day, index) stream too, so it does not depend on
 // which request generated it first.
 func (w *World) Messages(g *Group, ch int, from, to time.Time) []Message {
+	return w.AppendMessages(nil, g, ch, from, to)
+}
+
+// AppendMessages appends what Messages(g, ch, from, to) returns to dst and
+// returns the extended slice, so a caller paging day by day can generate
+// every window into one reused buffer.
+func (w *World) AppendMessages(dst []Message, g *Group, ch int, from, to time.Time) []Message {
 	if from.Before(g.CreatedAt) {
 		from = g.CreatedAt
 	}
 	if !to.After(from) {
-		return nil
+		return dst
 	}
 	model := w.msgModelFor(g)
 	active, authorZipf, typeSampler := model.active, model.authorZipf, model.typeSampler
 	rate := g.MsgRates[ch]
 
-	var out []Message
 	// Both PCGs are reused across streams: Seed resets one to the exact
 	// state NewPCG would produce.
 	var pcg, textPCG rand.PCG
@@ -115,8 +121,8 @@ func (w *World) Messages(g *Group, ch int, from, to time.Time) []Message {
 		dayIdx := uint64(dayStart.Unix() / 86400)
 		pcg.Seed(chSeed, dayIdx)
 		n := dist.Poisson(dayRng, rate)
-		first := len(out)
-		out = slices.Grow(out, n)
+		first := len(dst)
+		dst = slices.Grow(dst, n)
 		for i := 0; i < n; i++ {
 			// All draws happen unconditionally so the RNG stream stays
 			// aligned no matter how the requested window slices the day.
@@ -138,20 +144,20 @@ func (w *World) Messages(g *Group, ch int, from, to time.Time) []Message {
 				textPCG.Seed(chSeed^msgTextTag, dayIdx<<18|uint64(i))
 				m.Text = tg.Message(g.Lang, g.Topic)
 			}
-			out = append(out, m)
+			dst = append(dst, m)
 		}
 		// Time-ordered, as every platform's history API serves them. Days
 		// do not overlap, so sorting each day's run sorts the whole slice.
 		// Seq breaks same-instant ties; the key is a total order, so the
 		// unstable sort has a unique result.
-		slices.SortFunc(out[first:], func(a, b Message) int {
+		slices.SortFunc(dst[first:], func(a, b Message) int {
 			if c := a.SentAt.Compare(b.SentAt); c != 0 {
 				return c
 			}
 			return int(a.Seq) - int(b.Seq)
 		})
 	}
-	return out
+	return dst
 }
 
 func parseMsgType(s string) platform.MessageType {

@@ -176,3 +176,76 @@ func TestMessageTextIndependentOfWindow(t *testing.T) {
 		t.Fatal("no message bodies generated")
 	}
 }
+
+// TestAppendMessagesKeepsPrefix: AppendMessages leaves dst's rows alone and
+// appends exactly what Messages returns, for windows that cut days
+// mid-way and for one buffer reused across the successive day-aligned
+// windows a history handler steps through.
+func TestAppendMessagesKeepsPrefix(t *testing.T) {
+	cfg := DefaultConfig(42, 0.004)
+	cfg.GenerateMessageText = true
+	w := New(cfg)
+	now := w.Cfg.Start.Add(time.Duration(w.Cfg.Days) * 24 * time.Hour)
+	rng := rand.New(rand.NewPCG(5, 9))
+	prefix := []Message{{GroupCode: "prefix", Seq: 1}, {GroupCode: "prefix", Channel: 2, Seq: 7, Text: "kept"}}
+	var buf []Message
+	msgs := 0
+	for _, p := range platform.All {
+		for _, g := range w.Groups[p][:20] {
+			ch := g.Channels - 1
+			for _, win := range diffWindows(rng, g, now) {
+				want := w.Messages(g, ch, win[0], win[1])
+				// Clipped, so the first append must reallocate and copy
+				// the prefix; then again into spare capacity.
+				for _, dst := range [][]Message{slices.Clip(slices.Clone(prefix)), append(make([]Message, 0, 64), prefix...)} {
+					got := w.AppendMessages(dst, g, ch, win[0], win[1])
+					if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+						t.Fatalf("%v %s ch %d [%v, %v): appended %d messages onto the prefix, Messages has %d",
+							p, g.Code, ch, win[0], win[1], len(got)-len(prefix), len(want))
+					}
+				}
+				msgs += len(want)
+			}
+			for cursor, day := now, 0; cursor.After(g.CreatedAt) && day < 30; day++ {
+				from := cursor.Add(-1).Truncate(24 * time.Hour)
+				if from.Before(g.CreatedAt) {
+					from = g.CreatedAt
+				}
+				buf = w.AppendMessages(buf[:0], g, ch, from, cursor)
+				if want := w.Messages(g, ch, from, cursor); !slices.Equal(buf, want) {
+					t.Fatalf("%v %s ch %d [%v, %v): reused buffer holds %d messages, Messages has %d",
+						p, g.Code, ch, from, cursor, len(buf), len(want))
+				}
+				msgs += len(buf)
+				cursor = from
+			}
+		}
+	}
+	if msgs < 1000 {
+		t.Fatalf("only %d messages compared", msgs)
+	}
+}
+
+// TestAppendMessagesAllocs bounds generating a busy channel-day into a
+// buffer that already has room for it: the two PCG states, which escape
+// through rand.Source, are all it allocates.
+func TestAppendMessagesAllocs(t *testing.T) {
+	w := New(DefaultConfig(42, 0.004))
+	var busy *Group
+	for _, g := range w.Groups[platform.Telegram] {
+		if busy == nil || g.MsgRates[0] > busy.MsgRates[0] {
+			busy = g
+		}
+	}
+	day := w.Cfg.Start.Add(2 * 24 * time.Hour)
+	buf := w.AppendMessages(nil, busy, 0, day, day.Add(24*time.Hour))
+	if len(buf) < 100 {
+		t.Fatalf("busiest Telegram chat has %d messages that day, want a fuller day", len(buf))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		buf = w.AppendMessages(buf[:0], busy, 0, day, day.Add(24*time.Hour))
+	})
+	if allocs > 2 {
+		t.Errorf("AppendMessages of %d messages into a large enough buffer allocated %.1f objects/op, want at most 2", len(buf), allocs)
+	}
+}

@@ -436,6 +436,16 @@ func (c *msgCols) seg(i int) (*msgSeg, int) {
 	return s, i - s.start
 }
 
+// grow reserves room for n more rows in the fixed-width columns. The text
+// arena is left to grow on its own: most studies carry no bodies.
+func (c *msgCols) grow(n int) {
+	c.plat = slices.Grow(c.plat, n)
+	c.group = slices.Grow(c.group, n)
+	c.author = slices.Grow(c.author, n)
+	c.sent = slices.Grow(c.sent, n)
+	c.typ = slices.Grow(c.typ, n)
+}
+
 func (c *msgCols) append(m *MessageRecord) {
 	c.plat = append(c.plat, uint8(m.Platform))
 	c.group = append(c.group, c.groupTab.Handle(m.GroupCode))

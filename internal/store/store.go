@@ -421,24 +421,37 @@ func (s *Store) AddMessage(m MessageRecord) {
 	s.msgMu.Unlock()
 }
 
-// AddMessageBatch appends a batch of messages (e.g. one joined group's
-// history) under one lock acquisition.
-func (s *Store) AddMessageBatch(batch []MessageRecord) {
-	if len(batch) == 0 {
-		return
-	}
+// AddMessageBatch appends pages of messages, in order, under one lock
+// acquisition (message collection hands over a whole phase's pages at
+// once). Without a memory budget the message columns grow once by the
+// total, so an empty family ends at its exact size instead of regrowing
+// page by page.
+func (s *Store) AddMessageBatch(pages ...[]MessageRecord) {
 	s.msgMu.Lock()
-	for i := range batch {
-		s.msgs.append(&batch[i])
+	sp := s.spill
+	budgeted := sp != nil && sp.cfg.Budget > 0
+	if !budgeted {
+		total := 0
+		for _, page := range pages {
+			total += len(page)
+		}
+		s.msgs.grow(total)
 	}
-	// Message collection ingests an entire phase's worth of history in one
-	// engine call, so waiting for the next boundary SpillCheck would let the
-	// heap blow far past the budget; seal mid-ingest once this family alone
-	// holds half of it. Segment boundaries never affect row content or
-	// order, so output determinism is untouched by when this fires.
-	if sp := s.spill; sp != nil && sp.cfg.Budget > 0 && s.msgs.heapBytes() > sp.cfg.Budget/2 {
-		if err := s.sealMessagesLocked(); err != nil {
-			sp.fail(err)
+	for _, page := range pages {
+		if len(page) == 0 {
+			continue
+		}
+		for i := range page {
+			s.msgs.append(&page[i])
+		}
+		// Waiting for the next boundary SpillCheck would let the heap blow
+		// far past the budget, so seal mid-ingest once this family alone
+		// holds half of it. Segment boundaries never affect row content or
+		// order, so output determinism is untouched by when this fires.
+		if budgeted && s.msgs.heapBytes() > sp.cfg.Budget/2 {
+			if err := s.sealMessagesLocked(); err != nil {
+				sp.fail(err)
+			}
 		}
 	}
 	s.msgMu.Unlock()

@@ -319,3 +319,99 @@ func TestAddObservationBatchMatchesPerCall(t *testing.T) {
 		t.Fatalf("groups.jsonl differs (%v, %v)", errA, errB)
 	}
 }
+
+// messagePages returns one page per size, with groups, authors and types
+// spread over every platform and a body on every fifth row.
+func messagePages(sizes ...int) [][]MessageRecord {
+	rng := rand.New(rand.NewSource(11))
+	plats := []platform.Platform{platform.WhatsApp, platform.Telegram, platform.Discord}
+	var pages [][]MessageRecord
+	n := 0
+	for _, size := range sizes {
+		page := make([]MessageRecord, size)
+		for i := range page {
+			page[i] = MessageRecord{
+				Platform:  plats[rng.Intn(len(plats))],
+				GroupCode: fmt.Sprintf("g%02d", rng.Intn(40)),
+				AuthorKey: uint64(rng.Intn(500)),
+				SentAt:    t0.Add(time.Duration(n) * time.Minute),
+				Type:      platform.MessageType(rng.Intn(6)),
+			}
+			if n%5 == 0 {
+				page[i].Text = fmt.Sprintf("body %d", n)
+			}
+			n++
+		}
+		pages = append(pages, page)
+	}
+	return pages
+}
+
+// TestAddMessageBatchPagesMatchSingleCalls: pages handed to one
+// AddMessageBatch call store the same rows, in the same order, as one call
+// per page, and an empty unbudgeted store sizes its fixed-width message
+// columns once, exactly. 8192 rows make every column's byte size a whole
+// allocation size class, so an exact reservation shows as cap == len.
+func TestAddMessageBatchPagesMatchSingleCalls(t *testing.T) {
+	pages := messagePages(3000, 0, 3000, 2192)
+	oneCall, perPage := New(), New()
+	oneCall.AddMessageBatch(pages...)
+	for _, page := range pages {
+		perPage.AddMessageBatch(page)
+	}
+
+	a, b := oneCall.Snapshot(t0, 10), perPage.Snapshot(t0, 10)
+	lists := map[string][2]MessageList{"all": {a.Messages, b.Messages}}
+	for _, p := range platform.All {
+		lists[p.String()] = [2]MessageList{a.MessagesOf(p), b.MessagesOf(p)}
+		if a.CountsFor(p) != b.CountsFor(p) {
+			t.Fatalf("%v: counts %+v in one call, %+v per page", p, a.CountsFor(p), b.CountsFor(p))
+		}
+	}
+	for name, l := range lists {
+		if l[0].Len() != l[1].Len() {
+			t.Fatalf("%s: %d messages in one call, %d per page", name, l[0].Len(), l[1].Len())
+		}
+		for i := 0; i < l[0].Len(); i++ {
+			if ma, mb := l[0].At(i), l[1].At(i); ma != mb {
+				t.Fatalf("%s message %d: one call %+v, per page %+v", name, i, ma, mb)
+			}
+		}
+	}
+	if n := a.Messages.Len(); n != 8192 {
+		t.Fatalf("%d messages, want 8192", n)
+	}
+
+	c := &oneCall.msgs
+	for name, lc := range map[string][2]int{
+		"plat":   {len(c.plat), cap(c.plat)},
+		"group":  {len(c.group), cap(c.group)},
+		"author": {len(c.author), cap(c.author)},
+		"sent":   {len(c.sent), cap(c.sent)},
+		"typ":    {len(c.typ), cap(c.typ)},
+	} {
+		if lc[0] != lc[1] {
+			t.Errorf("%s column: len %d, cap %d after one ingest into an empty store", name, lc[0], lc[1])
+		}
+	}
+}
+
+// TestAddMessageBatchSealsMidIngest: under a memory budget one
+// AddMessageBatch call still seals after every page that takes the family
+// past half the budget, and the rows it sealed read back as an unbudgeted
+// store holds them.
+func TestAddMessageBatchSealsMidIngest(t *testing.T) {
+	pages := messagePages(3000, 3000, 2192)
+	plain, budgeted := New(), New()
+	plain.AddMessageBatch(pages...)
+	// The smallest page's fixed-width columns alone (22 bytes a row): every
+	// page takes the family past half the budget.
+	if err := budgeted.EnableSpill(SpillConfig{Dir: t.TempDir(), Budget: 2192 * 22}); err != nil {
+		t.Fatal(err)
+	}
+	budgeted.AddMessageBatch(pages...)
+	if st := budgeted.SpillStats(); st.Segments != len(pages) {
+		t.Fatalf("one ingest of %d pages sealed %d segments, want one per page", len(pages), st.Segments)
+	}
+	compareSaveDirs(t, saveStore(t, plain), saveStore(t, budgeted))
+}
